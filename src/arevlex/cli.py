@@ -58,6 +58,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.upto is not None and args.upto < 0:
+        raise AlgebraError(f"--upto must be nonnegative, got {args.upto}")
     if args.degrees:
         degrees = _parse_degrees(args.degrees)
         profile = h_mod.CIProfile.of(degrees)
@@ -228,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-d", "--degrees", help="comma-separated degrees")
     group.add_argument("--ideal", help="ideal JSON file")
     p.add_argument("--audit", action="store_true",
-                   help="cross-check against the full symbolic reduction")
+                   help="cross-check the rank by elimination and the rows "
+                        "against the full symbolic reduction")
     p.add_argument("--out", default=None,
                    help="prefix for the sparse matrix dump file")
     add_format(p)

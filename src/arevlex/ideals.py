@@ -23,6 +23,7 @@ from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
     Term,
     enumerate_terms,
+    json_int,
     raw_cmp,
     raw_divides,
     raw_key,
@@ -500,7 +501,7 @@ def ideal_to_json(J: MonomialIdeal) -> dict:
 
 def ideal_from_json(data: dict) -> MonomialIdeal:
     try:
-        n = int(data["vars"])
+        n = json_int(data["vars"])
         gens = [term_from_json(g) for g in data["generators"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc

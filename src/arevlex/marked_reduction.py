@@ -18,7 +18,12 @@ from bisect import insort
 from .errors import DomainError
 from .ideals import MonomialIdeal, _pommaret_raw
 from .linalg import row_space_equal
-from .tangent import _full_sous_raw, _linear_rows, _require_artinian_stable
+from .tangent import (
+    _full_sous_raw,
+    _linear_rows,
+    _require_artinian_stable,
+    rank_agrees_with_elimination,
+)
 from .terms import raw_key, raw_min_var, raw_mul, raw_var
 
 CPoly = dict  # tuple[int, ...] -> int
@@ -108,8 +113,11 @@ def oracle_rows(J: MonomialIdeal):
 
 
 def audit_tangent(J: MonomialIdeal) -> bool:
-    """True iff the truncated linearization spans the oracle's row space."""
+    """True iff the union-find rank matches elimination on the truncated
+    linearization, and that linearization spans the oracle's row space."""
     rows_fast, n_fast, _ = _linear_rows(J)
+    if not rank_agrees_with_elimination(J, rows_fast):
+        return False
     rows_full, n_full = oracle_rows(J)
     if n_fast != n_full:
         return False

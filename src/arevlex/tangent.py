@@ -14,9 +14,22 @@ Coefficients that land back inside J only contribute at quadratic order
 and are dropped; :mod:`arevlex.marked_reduction` re-derives the same rows
 by full symbolic reduction and guards this truncation.
 
-The tangent dimension is the parameter count minus the exact rank of the
-stacked linear forms; comparing it with n*D (the dimension of the
-component through the lexicographic point) certifies singularity.
+Every equation therefore has at most two entries, +1 and -1.  The equation
+on a monomial m gets its +C term from at most one beta, because
+x_j*beta = m fixes beta = m/x_j, and its -C term from at most one beta',
+because delta'*beta' = m fixes beta' = m/delta'.  So each equation reads
+C_a = 0 or C_a - C_b = 0, and the system is a graph: columns are nodes, an
+equality is an edge and a pin is an edge to one extra ground node.  Its
+rank is the number of edges in a spanning forest, i.e. the number of
+unions that merge two components, which :func:`tangent_dim` counts with a
+union-find over the column pairs streamed by :func:`_equation_pairs`.  The
+count is exact, with no elimination and no fractions; fraction-free
+elimination (:mod:`arevlex.linalg`) stays as the oracle of the audit and
+the tests.
+
+The tangent dimension is the parameter count minus that rank; comparing it
+with n*D (the dimension of the component through the lexicographic point)
+certifies singularity.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from .ideals import (
     is_strongly_stable,
 )
 from .linalg import rank as matrix_rank
-from .terms import Term, raw_key, raw_min_var, raw_mul, raw_var
+from .terms import Term, raw_min_var, raw_mul, raw_var
 
 
 @dataclass(frozen=True)
@@ -120,43 +133,114 @@ def parameters(J: MonomialIdeal) -> list[Parameter]:
     return [Parameter(alpha, beta) for alpha in J.min_gens for beta in betas]
 
 
+def _shift_maps(sous: list[tuple[int, ...]], n: int) -> list[list[int]]:
+    """div[v][i] = index of sous[i]/x_{v+1} in N(J), or -1 if x_{v+1} does not divide it.
+
+    Each list carries one trailing -1, so indexing it with -1 yields -1 and
+    maps compose without a guard.
+    """
+    index = {m: i for i, m in enumerate(sous)}
+    div = []
+    for v in range(n):
+        dv = [index[m[:v] + (m[v] - 1,) + m[v + 1 :]] if m[v] else -1 for m in sous]
+        dv.append(-1)
+        div.append(dv)
+    return div
+
+
+def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
+    """Stream every linearized equation as (monomial index, plus, minus).
+
+    For the generator gens[gi], the variable x_j above its minimal variable
+    and each m in N(J), the equation on m reads C[plus] - C[minus] = 0 with
+    plus = (gi, m/x_j) and minus = (alpha', m/delta'), where
+    x_j*gens[gi] = x^alpha' * x^delta' is the head decomposition.  Columns
+    are gi*D + (index of beta in N(J)); a side whose quotient is not a term
+    of N(J) is -1, and m gets no equation when both are.  N(J) is an order
+    ideal, so m/delta' is in N(J) exactly when delta' divides m, and the
+    map m -> m/delta' composes from the one-variable maps (cached per
+    delta').  The two sides are never the same column, so no pair cancels:
+    that would need alpha' = gamma and delta' = x_j, but a head
+    decomposition has max(delta') >= min(alpha') and j < min(gamma).
+
+    Order: generator-major, then variable, then m increasing degrevlex.
+    ``block`` = (gi, j) restricts the stream to one generator and variable.
+    """
+    gens = J._raw
+    n = J.n
+    sous = _full_sous_raw(J)
+    D = len(sous)
+    div = _shift_maps(sous, n)
+    by_delta: dict[tuple[int, ...], list[int]] = {}
+    gidx = {g: i for i, g in enumerate(gens)}
+    if block is None:
+        blocks = [(gi, j) for gi, g in enumerate(gens) for j in range(1, raw_min_var(g))]
+    else:
+        blocks = [block]
+    for gi, j in blocks:
+        alpha, delta = _pommaret_raw(J, raw_mul(raw_var(n, j), gens[gi]))
+        dd = by_delta.get(delta)
+        if dd is None:
+            dd = list(range(D)) + [-1]
+            for v, e in enumerate(delta):
+                dv = div[v]
+                for _ in range(e):
+                    dd = [dv[i] for i in dd]
+            by_delta[delta] = dd
+        plus0, minus0 = gi * D, gidx[alpha] * D
+        yield from [
+            (i, plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
+            for i, p, q in zip(range(D), div[j - 1], dd)
+            if p >= 0 or q >= 0
+        ]
+
+
+def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
+    """(rank, equation count) of the linearized system, by union-find.
+
+    Column c is node c and one ground node stands for zero, so C_a = 0
+    joins a to the ground and C_a - C_b = 0 joins a to b.  The rank of such
+    a system is the number of unions that merge two components.
+    """
+    ground = len(J._raw) * colength(J)
+    parent = list(range(ground + 1))
+    merges = count = 0
+    for _, a, b in _equation_pairs(J):
+        count += 1
+        if a < 0:
+            a = ground
+        if b < 0:
+            b = ground
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges, count
+
+
 def _linear_rows(J: MonomialIdeal):
     """All linearized equations as sparse rows over parameter indices.
 
-    Returns (rows, param_count, labels) where labels[k] = (gen index, beta).
-    Row order: generator-major, then multiplying variable, then monomial.
+    Returns (rows, param_count, col) where col[(gen index, beta)] is the
+    column of C[gens[gi], beta].  Rows come in the order of
+    :func:`_equation_pairs`; each is {plus: 1, minus: -1} minus absent sides.
     """
-    gens = J._raw
     sous = _full_sous_raw(J)
-    sset = set(sous)
-    col: dict[tuple[int, tuple[int, ...]], int] = {}
-    for gi in range(len(gens)):
-        for b in sous:
-            col[(gi, b)] = len(col)
-    gidx = {g: i for i, g in enumerate(gens)}
-    n = J.n
+    col = {(gi, b): len(sous) * gi + i
+           for gi in range(len(J._raw)) for i, b in enumerate(sous)}
     rows = []
-    for gi, g in enumerate(gens):
-        k = raw_min_var(g)  # x_j runs over the variables above min(gamma)
-        for j in range(1, k):
-            xj = raw_var(n, j)
-            alpha, delta = _pommaret_raw(J, raw_mul(xj, g))
-            ai = gidx[alpha]
-            eq: dict[tuple[int, ...], dict[int, int]] = {}
-            for b in sous:
-                m = raw_mul(xj, b)
-                if m in sset:
-                    eq.setdefault(m, {})[col[(gi, b)]] = 1
-            for b in sous:
-                m = raw_mul(delta, b)
-                if m in sset:
-                    d = eq.setdefault(m, {})
-                    c = col[(ai, b)]
-                    d[c] = d.get(c, 0) - 1
-            for m in sorted(eq, key=raw_key):
-                row = {c: v for c, v in eq[m].items() if v}
-                if row:
-                    rows.append(row)
+    for _, p, q in _equation_pairs(J):
+        row = {}
+        if p >= 0:
+            row[p] = 1
+        if q >= 0:
+            row[q] = -1
+        rows.append(row)
     return rows, len(col), col
 
 
@@ -167,47 +251,49 @@ def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, Linea
         raise DomainError(f"{gamma} is not a minimal generator")
     if not 1 <= j <= J.n or j >= gamma.min_var():
         raise DomainError(f"x_{j} is not above min(gamma) = x_{gamma.min_var()}")
-    n = J.n
+    gens = J.min_gens
     sous = _full_sous_raw(J)
-    sset = set(sous)
-    xj = raw_var(n, j)
-    alpha, delta = _pommaret_raw(J, raw_mul(xj, gamma.exponents))
-    alpha_t = Term(alpha)
-    eq: dict[tuple[int, ...], dict[Parameter, int]] = {}
-    for b in sous:
-        m = raw_mul(xj, b)
-        if m in sset:
-            eq.setdefault(m, {})[Parameter(gamma, Term(b))] = 1
-    for b in sous:
-        m = raw_mul(delta, b)
-        if m in sset:
-            d = eq.setdefault(m, {})
-            p = Parameter(alpha_t, Term(b))
-            d[p] = d.get(p, 0) - 1
+    D = len(sous)
+
+    def param(c: int) -> Parameter:
+        return Parameter(gens[c // D], Term(sous[c % D]))
+
     out: dict[Term, LinearForm] = {}
-    for m in sorted(eq, key=raw_key):
-        entries = tuple((p, c) for p, c in eq[m].items() if c)
-        if entries:
-            out[Term(m)] = LinearForm(entries)
+    for i, p, q in _equation_pairs(J, (gens.index(gamma), j)):
+        entries = []
+        if p >= 0:
+            entries.append((param(p), 1))
+        if q >= 0:
+            entries.append((param(q), -1))
+        out[Term(sous[i])] = LinearForm(tuple(entries))
     return out
 
 
 def tangent_dim(J: MonomialIdeal) -> TangentReport:
     """Exact tangent-space dimension with the generator-count bound sandwich."""
     _require_artinian_stable(J)
-    rows, nparams, _ = _linear_rows(J)
-    rk = matrix_rank(rows)
+    rk, equations = _union_find_rank(J)
     D = colength(J)
     nb = len(J.min_gens)
+    nparams = nb * D
     return TangentReport(
         param_count=nparams,
-        equation_count=len(rows),
+        equation_count=equations,
         rank=rk,
         tangent_dim=nparams - rk,
         lower_bound=nb * border_generator_count(J),
         upper_bound=nb * D,
         lex_dim=J.n * D,
     )
+
+
+def rank_agrees_with_elimination(J: MonomialIdeal, rows) -> bool:
+    """Audit check: the union-find rank equals fraction-free elimination on ``rows``.
+
+    ``rows`` are the rows of :func:`_linear_rows`; :func:`tangent_dim`
+    never runs elimination itself.
+    """
+    return _union_find_rank(J)[0] == matrix_rank(rows)
 
 
 def tangent_bounds(J: MonomialIdeal) -> tuple[int, int]:

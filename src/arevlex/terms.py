@@ -257,5 +257,14 @@ def term_from_text(text: str, n: int) -> Term:
     return Term(tuple(exps))
 
 
+def json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; floats, strings and booleans are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"expected an integer, got {x!r}")
+    return x
+
+
 def term_from_json(data: list[int]) -> Term:
-    return Term(tuple(int(x) for x in data))
+    if not isinstance(data, list):
+        raise DomainError(f"expected a list of exponents, got {data!r}")
+    return Term(tuple(json_int(x) for x in data))

@@ -8,9 +8,18 @@ code paths.
 from __future__ import annotations
 
 import itertools
+import random
 from math import prod
 
-from arevlex import MonomialIdeal, Term, contains, enumerate_terms, minimalize
+from arevlex import (
+    MonomialIdeal,
+    Term,
+    almost_revlex_ci,
+    colength,
+    contains,
+    enumerate_terms,
+    minimalize,
+)
 from arevlex.terms import raw_key
 
 
@@ -136,6 +145,21 @@ def ci_degree_grid(max_vars: int, d_lo: int, d_hi: int, max_product: int):
         for degs in itertools.combinations_with_replacement(range(d_lo, d_hi + 1), n):
             if prod(degs) <= max_product:
                 yield degs
+
+
+def tangent_check_ideals() -> list[MonomialIdeal]:
+    """The criterion-6 set: 300 small CI points and strongly stable ideals, plus goldens."""
+    ideals = [almost_revlex_ci(len(d), d)
+              for d in ci_degree_grid(4, 2, 12, 200)]
+    rng = random.Random(60601)
+    while len(ideals) < 300:
+        n = rng.randint(2, 4)
+        J = random_strongly_stable(rng, n, rng.randint(2, 5))
+        if colength(J) <= 200:
+            ideals.append(J)
+    ideals += [almost_revlex_ci(len(d), d)
+               for d in [(3, 4, 4), (2,) * 4, (2,) * 5]]
+    return ideals
 
 
 # fixed ideals used across the suite: two strongly stable ideals sharing the

@@ -36,7 +36,6 @@ from arevlex import (
     classify_ci,
     classify_stable,
     cmp_degrevlex,
-    colength,
     contains,
     derivative,
     enumerate_terms,
@@ -62,6 +61,7 @@ from helpers import (
     curve_ideal,
     curve_ideal_alt,
     random_strongly_stable,
+    tangent_check_ideals,
 )
 
 COUNT_GRID = list(ci_degree_grid(5, 2, 8, 5000))
@@ -225,20 +225,6 @@ def test_criterion_05_exact_tangent_dimensions():
 
 
 # -- criterion 6 -------------------------------------------------------------
-
-
-def tangent_check_ideals():
-    ideals = [almost_revlex_ci(len(d), d)
-              for d in ci_degree_grid(4, 2, 12, 200)]
-    rng = random.Random(60601)
-    while len(ideals) < 300:
-        n = rng.randint(2, 4)
-        J = random_strongly_stable(rng, n, rng.randint(2, 5))
-        if colength(J) <= 200:
-            ideals.append(J)
-    ideals += [almost_revlex_ci(len(d), d)
-               for d in [(3, 4, 4), (2,) * 4, (2,) * 5]]
-    return ideals
 
 
 def test_criterion_06_sandwich_and_vanishing_columns():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from arevlex import ideal_to_json, minimalize, term
 from arevlex.cli import main
@@ -86,6 +89,54 @@ def test_tangent_json_audit_and_dump(tmp_path, capsys):
     header = dump[0].split()
     assert header[0] == "#" and int(header[2]) == data["params"]
     assert len(dump) - 1 == sum(1 for line in dump[1:] if len(line.split()) == 3)
+
+
+@pytest.mark.parametrize("degrees, header, digest", [
+    ("2,2,2", "# 32 48",
+     "65d2f57f6bdef779b149fde529c2f910e890ef2b2955eeae1a42a611a2b98056"),
+    ("3,4,4", "# 878 672",
+     "f8bbe1bd05e1905f3cd3a19f17b8ef5c66ba22f818d843ad3dae0fa08a42e5ee"),
+])
+def test_tangent_out_dump_bytes(tmp_path, capsys, degrees, header, digest):
+    # digests of the dumps the earlier dict-row assembly wrote; the pair
+    # kernel must reproduce them byte for byte
+    prefix = tmp_path / "sys"
+    code, out, _ = run_cli(capsys, "tangent", "-d", degrees, "--out", str(prefix))
+    assert code == 0
+    data = (tmp_path / "sys.matrix.txt").read_bytes()
+    assert data.decode().splitlines()[0] == header
+    assert hashlib.sha256(data).hexdigest() == digest
+    # --out does not change stdout
+    code, plain, _ = run_cli(capsys, "tangent", "-d", degrees)
+    assert plain == out
+
+
+@pytest.mark.parametrize("ideal", [
+    {"vars": 2, "generators": [[1.5, 0], [0, 2]]},
+    {"vars": 2, "generators": [[True, 0], [0, 2]]},
+    {"vars": 2, "generators": [["1", 0], [0, 2]]},
+    {"vars": 2.0, "generators": [[1, 0], [0, 2]]},
+    {"vars": True, "generators": [[1]]},
+    {"vars": 2, "generators": [3, [0, 2]]},
+])
+def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ideal))
+    code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_hilbert_rejects_negative_upto(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "hilbert", "-d", "3,4", "--upto", "-1")
+    assert code == 1 and out == ""
+    assert "--upto must be nonnegative" in err
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"vars": 2, "generators": [[2, 0], [1, 1], [0, 2]]}))
+    code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "-3")
+    assert code == 1 and out == "" and "--upto must be nonnegative" in err
+    code, out, _ = run_cli(capsys, "hilbert", "-d", "3,4", "--upto", "0")
+    assert code == 0 and out.splitlines()[0] == "1"
 
 
 def test_tangent_audit_skip_note(capsys):

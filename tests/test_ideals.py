@@ -377,3 +377,6 @@ def test_text_and_json():
         ideal_from_json({"vars": 2})
     with pytest.raises(DimensionError):
         ideal_from_json({"vars": 2, "generators": [[1, 0, 0]]})
+    for bad_vars in (2.0, True, "2"):
+        with pytest.raises(DomainError):
+            ideal_from_json({"vars": bad_vars, "generators": [[2, 0], [0, 2]]})

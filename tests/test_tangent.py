@@ -25,10 +25,29 @@ from arevlex import (
     tangent_dim,
     term,
 )
+from arevlex import tangent as tangent_module
 from arevlex.linalg import rank, row_space_equal
-from arevlex.tangent import _linear_rows
+from arevlex.tangent import (
+    _full_sous_raw,
+    _linear_rows,
+    rank_agrees_with_elimination,
+)
+from arevlex.terms import raw_key
 
-from helpers import random_strongly_stable
+from helpers import random_strongly_stable, tangent_check_ideals
+
+CI_POINTS = [(2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 4, 4), (2, 2, 2, 2), (2,) * 5]
+
+
+@pytest.fixture(scope="module")
+def kernel_check_ideals():
+    """The criterion-6 set, the six CI points and random strongly stable ideals."""
+    ideals = tangent_check_ideals()
+    ideals += [almost_revlex_ci(len(d), d) for d in CI_POINTS]
+    rng = random.Random(4242)
+    for _ in range(27):
+        ideals.append(random_strongly_stable(rng, rng.randint(2, 4), rng.randint(2, 5)))
+    return ideals
 
 
 def test_parameter_counts():
@@ -63,9 +82,12 @@ def test_single_variable_point():
 
 
 def test_golden_tangent_dimensions():
-    for degs, dim, lex in [((2, 2, 2), 36, 24), ((3, 3, 3), 147, 81)]:
+    for degs, dim, lex, equations, rk in [((2, 2, 2), 36, 24, 32, 12),
+                                          ((3, 3, 3), 147, 81, 327, 150),
+                                          ((3, 4, 4), 286, 144, 878, 386)]:
         rep = tangent_dim(almost_revlex_ci(len(degs), degs))
         assert rep.tangent_dim == dim and rep.lex_dim == lex
+        assert (rep.equation_count, rep.rank) == (equations, rk)
         assert rep.tangent_dim == rep.param_count - rep.rank
 
 
@@ -221,6 +243,46 @@ def test_rank_agrees_with_union_find_route():
     for J in ideals:
         rows, _, _ = _linear_rows(J)
         assert rank(rows) == union_find_rank(rows)
+
+
+def test_union_find_rank_equals_elimination(kernel_check_ideals):
+    # tangent_dim counts union-find merges; fraction-free elimination on the
+    # same rows is the independent oracle
+    for J in kernel_check_ideals:
+        rows, nparams, _ = _linear_rows(J)
+        rep = tangent_dim(J)
+        assert rep.rank == rank(rows), J
+        assert rep.equation_count == len(rows), J
+        assert rep.param_count == nparams, J
+
+
+def test_rows_are_plus_minus_one_pairs(kernel_check_ideals):
+    for J in kernel_check_ideals[::7]:
+        rows, _, _ = _linear_rows(J)
+        for row in rows:
+            assert sorted(row.values()) in ([-1], [1], [-1, 1]), row
+
+
+def test_staircase_order_is_degrevlex(kernel_check_ideals):
+    # the kernel emits rows in N(J) order, which must be the raw_key order
+    for J in kernel_check_ideals[::5]:
+        sous = _full_sous_raw(J)
+        assert sous == sorted(sous, key=raw_key)
+
+
+def test_tangent_dim_runs_no_elimination(monkeypatch):
+    def refuse(rows, pivot="min"):
+        raise AssertionError("tangent_dim must not call linalg.rank")
+
+    monkeypatch.setattr(tangent_module, "matrix_rank", refuse)
+    assert tangent_dim(almost_revlex_ci(3, (3, 4, 4))).tangent_dim == 286
+
+
+def test_rank_agrees_with_elimination():
+    J = almost_revlex_ci(3, (2, 2, 3))
+    rows, _, _ = _linear_rows(J)
+    assert rank_agrees_with_elimination(J, rows)
+    assert not rank_agrees_with_elimination(J, rows[: len(rows) // 2])
 
 
 def test_rank_small_matrices():

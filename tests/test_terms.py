@@ -130,6 +130,9 @@ def test_text_and_json_roundtrip():
         term_from_text("y2", 3)
     with pytest.raises(DimensionError):
         term_from_text("x9", 3)
+    for bad in ([1.5, 0], [True, 0], ["1", 0], [1.0], (1, 0), 3):
+        with pytest.raises(DomainError):
+            term_from_json(bad)
 
 
 def test_term_validation():
