@@ -23,7 +23,7 @@ from .hilbert import (
     validate_degrees,
     varrho,
 )
-from .ideals import MonomialIdeal, _expand_slice, is_almost_revlex
+from .ideals import MonomialIdeal, _expand_slice, _extend_slices, is_almost_revlex
 from .terms import Term, raw_key, raw_min_var
 
 
@@ -84,15 +84,7 @@ def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:
         H = ci_hilbert(degrees[:i], i, d_next + 1)
         # extend the ring by one (smaller) variable and rebuild the slices
         gens = [g + (0,) for g in gens]
-        cur = [(0,) * i]
-        per_degree: dict[int, set[tuple[int, ...]]] = {}
-        for g in gens:
-            per_degree.setdefault(sum(g), set()).add(g)
-        for t in range(1, d_i + 1):
-            cur = _expand_slice(cur, i)
-            drop = per_degree.get(t)
-            if drop:
-                cur = [m for m in cur if m not in drop]
+        cur = _extend_slices([[(0,) * i]], set(gens), i, d_i)[-1]
         # single greatest term completes degree d_i
         tau = cur[-1]
         gens.append(tau)
@@ -105,7 +97,8 @@ def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:
 
         gens, cur = _greedy_run(i, gens, cur, d_i + 1, d_next, drop_count)
         # loop invariant: the partial ideal already has the right values
-        assert len(cur) == H(d_next), "partial Hilbert value drifted"
+        if len(cur) != H(d_next):
+            raise AssertionError("partial Hilbert value drifted")
     gens.sort(key=raw_key)
     J = MonomialIdeal(n, tuple(Term(g) for g in gens))
     return J

@@ -283,7 +283,8 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
                 if counts[-1] == 0 and t >= up_to:
                     break
                 t += 1
-        assert counts[-1] == 0
+        if counts[-1] != 0:
+            raise AssertionError("Artinian Hilbert table does not end in zero")
         return HilbertFunction(tuple(counts), Eventual("zero"))
     if J._stable:
         reg = J.max_gen_degree()

@@ -5,13 +5,23 @@ variable count.  Everything derived from it (sous-escalier slices, first
 expansions, reduction numbers, colength, ...) is computed combinatorially
 and exactly.
 
-Two routes to the sous-escalier coexist:
+Membership has two routes, each the only one for its inputs:
 
-* :func:`sous_escalier` filters the full list of degree-t terms through a
-  divisibility test; it works for any monomial ideal.
-* ``_slices`` iterates the first-expansion recursion
-  N(J)_{t+1} = E(N(J)_t) \\ B_J,t+1, valid for stable ideals and much
-  faster; the test suite pins bit-for-bit agreement between the two.
+* ``_contains_raw`` scans the generators up to the degree of the term; it
+  serves ideals not known to be stable (:func:`contains`,
+  :func:`sous_escalier`, and through it the colength and Hilbert function
+  of a non-stable ideal).  The minimality check of a basis scans the same
+  way.
+* ``MonomialIdeal._head`` walks down from the term by its smallest variable
+  until it meets B_J; for a stable ideal this finds the head alpha of the
+  unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau) set
+  lookups, or shows tau is outside J.  It serves everything that requires
+  stability: the stability predicates themselves, the head decomposition
+  and, through it, the tangent equations and the marked reduction.
+
+Staircases of stable ideals come from the first-expansion recursion
+N(J)_{t+1} = E(N(J)_t) \\ B_J (``_slices``), which the construction shares;
+the test suite pins it against the filtering route :func:`sous_escalier`.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ from .terms import (
     raw_cmp,
     raw_divides,
     raw_key,
-    raw_max_var,
     raw_min_var,
     raw_quotient,
     term_from_json,
@@ -114,30 +123,39 @@ class MonomialIdeal:
                     return False
         return True
 
-    def _contains_same_degree(self, e: tuple[int, ...], limit: int) -> bool:
-        """Membership for a term with the degree of generator index ``limit``.
-
-        A divisor either has strictly smaller degree (so lives before the
-        first generator of that degree in the sorted basis) or equals the
-        term itself; the hash lookup handles the latter.
-        """
-        if e in self._gen_set:
-            return True
-        d = self._degrees[limit]
-        for i, g in enumerate(self._raw):
-            if self._degrees[i] >= d:
-                return False
-            if raw_divides(g, e):
-                return True
-        return False
-
     @cached_property
     def _gen_set(self) -> frozenset:
         return frozenset(self._raw)
 
+    def _head(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The head alpha in B_J of e in a stable J, or None when e is not in J.
+
+        In a stable J, e = alpha*delta with every variable of delta at or
+        below min(alpha).  Unless e = alpha, the smallest variable of e
+        divides delta, so dividing it out keeps the term in J with the same
+        head; a term outside J never meets B_J and runs out of variables.
+        """
+        gens = self._gen_set
+        cur = list(e)
+        k = len(cur) - 1
+        while True:
+            t = tuple(cur)
+            if t in gens:
+                return t
+            while k >= 0 and not cur[k]:
+                k -= 1
+            if k < 0:
+                return None
+            cur[k] -= 1
+
     @cached_property
     def _stable(self) -> bool:
-        for gi, g in enumerate(self._raw):
+        # J is stable iff every move x_j * g / x_min(g) of a generator lies
+        # in J.  The head walk only meets divisors of the move, so a hit
+        # proves membership.  If J is stable, every walk is exact and every
+        # move passes; if not, some move lies outside J and its walk finds
+        # no generator.  So the verdict is exact before stability is known.
+        for g in self._raw:
             if not sum(g):
                 continue
             k = raw_min_var(g)
@@ -145,7 +163,7 @@ class MonomialIdeal:
             moved[k - 1] -= 1
             for j in range(1, k):
                 moved[j - 1] += 1
-                if not self._contains_same_degree(tuple(moved), gi):
+                if self._head(tuple(moved)) is None:
                     return False
                 moved[j - 1] -= 1
         return True
@@ -153,14 +171,10 @@ class MonomialIdeal:
     @cached_property
     def _strongly_stable(self) -> bool:
         # strongly stable implies stable, so a failed stable check decides;
-        # for stable ideals the cached staircase slices answer membership
+        # for stable ideals the head walk answers membership exactly
         if not self._stable:
             return False
-        if self.is_zero:
-            return True
-        outside = [frozenset(s) for s in _slices(self, self.max_gen_degree())]
         for g in self._raw:
-            d = sum(g)
             for i in range(self.n):
                 if not g[i]:
                     continue
@@ -168,7 +182,7 @@ class MonomialIdeal:
                 moved[i] -= 1
                 for j in range(i):
                     moved[j] += 1
-                    if tuple(moved) in outside[d]:
+                    if self._head(tuple(moved)) is None:
                         return False
                     moved[j] -= 1
         return True
@@ -263,33 +277,33 @@ def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...
     return out
 
 
+def _extend_slices(
+    store: list[list[tuple[int, ...]]], gens: set | frozenset, n: int, upto: int
+) -> list[list[tuple[int, ...]]]:
+    """Extend the sous-escalier slices ``store`` (t = 0..len-1) through ``upto``.
+
+    Iterates N(J)_{t+1} = E(N(J)_t) minus B_J, where ``gens`` is the set of
+    minimal generators of a stable ideal; only those of degree t+1 can meet
+    the expansion.  Returns ``store``, extended in place.
+    """
+    for _ in range(len(store), upto + 1):
+        store.append([m for m in _expand_slice(store[-1], n) if m not in gens])
+    return store
+
+
 def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
     """Sous-escalier slices of a stable ideal for t = 0..upto, each sorted.
 
-    Iterates N(J)_{t+1} = E(N(J)_t) minus the degree-(t+1) minimal
-    generators; agreement with the filtering route is pinned by tests.
-    The computed prefix is cached on the ideal and only extended.
+    Agreement with the filtering route is pinned by tests.  The computed
+    prefix is cached on the ideal and only extended.
     """
     if not J._stable:
         raise StabilityError("expansion recursion requires a stable ideal")
     store = J.__dict__.get("_slice_store")
     if store is None:
         zero = (0,) * J.n
-        store = [[] if J._contains_raw(zero) else [zero]]
-        J.__dict__["_slice_store"] = store
-    if len(store) <= upto:
-        gens_by_degree: dict[int, set[tuple[int, ...]]] = {}
-        for g in J._raw:
-            gens_by_degree.setdefault(sum(g), set()).add(g)
-        cur = store[-1]
-        for t in range(len(store), upto + 1):
-            nxt = _expand_slice(cur, J.n)
-            drop = gens_by_degree.get(t)
-            if drop:
-                nxt = [m for m in nxt if m not in drop]
-            store.append(nxt)
-            cur = nxt
-    return store[: upto + 1]
+        store = J.__dict__["_slice_store"] = [[] if zero in J._gen_set else [zero]]
+    return _extend_slices(store, J._gen_set, J.n, upto)[: upto + 1]
 
 
 def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -298,8 +312,7 @@ def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
         raise StabilityError("first_expansion requires a stable ideal")
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    slice_t = [m.exponents for m in sous_escalier(J, t)]
-    return [Term(e) for e in _expand_slice(slice_t, J.n)]
+    return [Term(e) for e in _expand_slice(_slices(J, t)[t], J.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +416,11 @@ def pommaret_decompose(J: MonomialIdeal, tau: Term) -> tuple[Term, Term]:
 def _pommaret_raw(
     J: MonomialIdeal, e: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    found = None
-    for g in J._raw:
-        if raw_divides(g, e):
-            d = raw_quotient(e, g)
-            # every variable of delta is <= min(alpha) in the order,
-            # i.e. the largest variable of delta has index >= min_var(alpha)
-            if sum(d) == 0 or raw_max_var(d) >= raw_min_var(g):
-                if found is not None:
-                    raise StabilityError(
-                        f"decomposition of {e} not unique; ideal not stable?"
-                    )
-                found = (g, d)
-    if found is None:
+    # every caller has checked that J is stable, where the head is unique
+    alpha = J._head(e)
+    if alpha is None:
         raise DomainError(f"term {e} is not in the ideal")
-    return found
+    return alpha, raw_quotient(e, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +453,8 @@ def reduction_number(J: MonomialIdeal, s: int) -> int:
     for g in J._raw:
         if g[v - 1] and sum(g) == g[v - 1]:
             best = g[v - 1] if best is None else min(best, g[v - 1])
-    assert best is not None  # guaranteed by s >= delta for strongly stable J
+    if best is None:
+        raise AssertionError(f"no pure power of x_{v}, although s >= delta")
     return best - 1
 
 
@@ -469,11 +473,7 @@ def colength(J: MonomialIdeal) -> int:
         return sum(len(s) for s in _slices(J, J.max_gen_degree()))
     total, t = 0, 0
     while True:
-        c = sum(
-            1
-            for m in enumerate_terms(J.n, t)
-            if not J._contains_raw(m.exponents)
-        )
+        c = len(sous_escalier(J, t))
         if c == 0 and t > 0:
             return total
         total += c

@@ -226,13 +226,12 @@ def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
 def _linear_rows(J: MonomialIdeal):
     """All linearized equations as sparse rows over parameter indices.
 
-    Returns (rows, param_count, col) where col[(gen index, beta)] is the
-    column of C[gens[gi], beta].  Rows come in the order of
-    :func:`_equation_pairs`; each is {plus: 1, minus: -1} minus absent sides.
+    Returns (rows, param_count, D) with D = |N(J)|: the column of
+    C[gens[gi], beta] is gi*D + (index of beta in N(J)).  Rows come in the
+    order of :func:`_equation_pairs`; each is {plus: 1, minus: -1} minus
+    absent sides.
     """
-    sous = _full_sous_raw(J)
-    col = {(gi, b): len(sous) * gi + i
-           for gi in range(len(J._raw)) for i, b in enumerate(sous)}
+    D = len(_full_sous_raw(J))
     rows = []
     for _, p, q in _equation_pairs(J):
         row = {}
@@ -241,7 +240,7 @@ def _linear_rows(J: MonomialIdeal):
         if q >= 0:
             row[q] = -1
         rows.append(row)
-    return rows, len(col), col
+    return rows, len(J._raw) * D, D
 
 
 def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, LinearForm]:

@@ -218,7 +218,8 @@ def enumerate_terms(n: int, t: int) -> list[Term]:
     if t < 0:
         raise DomainError(f"degree must be nonnegative, got t={t}")
     out = [Term(e) for e in raw_terms_of_degree(n, t)]
-    assert len(out) == comb(n - 1 + t, t)
+    if len(out) != comb(n - 1 + t, t):
+        raise AssertionError(f"{len(out)} terms of degree {t} in {n} variables")
     return out
 
 

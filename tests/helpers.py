@@ -44,6 +44,52 @@ def brute_is_almost_revlex(J: MonomialIdeal) -> bool:
     return True
 
 
+def _in_ideal(J: MonomialIdeal, e) -> bool:
+    m = Term(tuple(e))
+    return any(g.divides(m) for g in J.min_gens)
+
+
+def brute_is_stable(J: MonomialIdeal) -> bool:
+    """x_j * g / x_min(g) in J for every generator g and every j < min(g).
+
+    Generators suffice: a term of J is g*w, and moving its smallest variable
+    either moves one of w (leaving g) or the smallest variable of g.
+    """
+    for g in J.min_gens:
+        if g.degree == 0:
+            continue
+        k = g.min_var()
+        for j in range(1, k):
+            e = list(g.exponents)
+            e[k - 1] -= 1
+            e[j - 1] += 1
+            if not _in_ideal(J, e):
+                return False
+    return True
+
+
+def brute_is_strongly_stable(J: MonomialIdeal) -> bool:
+    """x_j * g / x_i in J for every generator g, every x_i dividing g and j < i."""
+    for g in J.min_gens:
+        for i in range(1, J.n + 1):
+            if not g.exponents[i - 1]:
+                continue
+            for j in range(1, i):
+                e = list(g.exponents)
+                e[i - 1] -= 1
+                e[j - 1] += 1
+                if not _in_ideal(J, e):
+                    return False
+    return True
+
+
+def random_monomial_ideal(rng, n: int, max_exp: int = 3, max_gens: int = 5) -> MonomialIdeal:
+    """The ideal of a few random terms in n variables with exponents <= max_exp."""
+    gens = [Term(tuple(rng.randint(0, max_exp) for _ in range(n)))
+            for _ in range(rng.randint(1, max_gens))]
+    return minimalize(gens, n)
+
+
 def brute_pommaret_candidates(J: MonomialIdeal, tau: Term):
     """All (alpha, delta) splittings of tau satisfying the multiplicative-variable rule."""
     out = []

@@ -52,7 +52,7 @@ from arevlex import (
     varrho,
 )
 from arevlex.cli import main as cli_main
-from arevlex.tangent import _linear_rows
+from arevlex.tangent import _full_sous_raw, _linear_rows
 
 from helpers import (
     artinian_stable_ideals,
@@ -230,18 +230,21 @@ def test_criterion_05_exact_tangent_dimensions():
 def test_criterion_06_sandwich_and_vanishing_columns():
     checked = 0
     for J in tangent_check_ideals():
-        rows, nparams, col = _linear_rows(J)
+        rows, nparams, D = _linear_rows(J)
         rep = tangent_dim(J)
         assert rep.lower_bound <= rep.tangent_dim <= rep.upper_bound
         touched = set()
         for row in rows:
             touched.update(row)
         n = J.n
-        for (gi, beta), cidx in col.items():
-            shifted = list(beta)
-            shifted[n - 1] += 1
-            if contains(J, Term(tuple(shifted))):
-                assert cidx not in touched
+        sous = _full_sous_raw(J)
+        assert D == len(sous) and nparams == len(J.min_gens) * D
+        for gi in range(len(J.min_gens)):
+            for i, beta in enumerate(sous):
+                shifted = list(beta)
+                shifted[n - 1] += 1
+                if contains(J, Term(tuple(shifted))):
+                    assert gi * D + i not in touched
         checked += 1
     golden = {(3, 4, 4): 140, (2, 2, 2, 2): 72, (2, 2, 2): 18}
     for degs, lower in golden.items():

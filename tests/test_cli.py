@@ -225,3 +225,30 @@ def test_byte_determinism_across_processes():
         assert proc.returncode == 0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_source_has_no_bare_assert():
+    # invariants must still fire under python -O, which strips assert
+    import ast
+    from pathlib import Path
+
+    import arevlex
+
+    found = []
+    for path in sorted(Path(arevlex.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_verify_under_optimize_flag():
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "arevlex", "verify", "-d", "3,4,4"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

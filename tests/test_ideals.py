@@ -43,9 +43,14 @@ from helpers import (
     artinian_stable_ideals,
     brute_first_expansion,
     brute_is_almost_revlex,
+    brute_is_stable,
+    brute_is_strongly_stable,
     brute_pommaret_candidates,
     curve_ideal,
     curve_ideal_alt,
+    ideal_with_staircase,
+    order_ideals,
+    random_monomial_ideal,
     random_strongly_stable,
 )
 
@@ -168,6 +173,22 @@ def test_stability_implication_chain():
             assert is_quasi_stable(J)
 
 
+def test_stability_predicates_match_definitions():
+    # random minimal ideals, most not stable, plus every Artinian ideal with
+    # a small staircase, which includes stable ideals that are not strongly
+    # stable
+    rng = random.Random(404)
+    ideals = [random_monomial_ideal(rng, rng.randint(1, 5)) for _ in range(1500)]
+    for n in (2, 3, 4):
+        ideals += [ideal_with_staircase(S, n) for S in order_ideals(n, 8)]
+    seen = set()
+    for J in ideals:
+        kind = (brute_is_stable(J), brute_is_strongly_stable(J))
+        assert (is_stable(J), is_strongly_stable(J)) == kind, J
+        seen.add(kind)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def test_almost_revlex_examples():
     J = minimalize(
         [term(0, 3, 0, 0), term(1, 2, 0, 0), term(2, 1, 0, 0), term(3, 0, 0, 0),
@@ -254,6 +275,22 @@ def test_pommaret_uniqueness_brute():
                         cands = brute_pommaret_candidates(J, m)
                         assert len(cands) == 1
                         assert pommaret_decompose(J, m) == cands[0]
+
+
+def test_pommaret_rejects_terms_outside():
+    rng = random.Random(7)
+    ideals = [random_strongly_stable(rng, rng.randint(2, 4), rng.randint(2, 4))
+              for _ in range(6)]
+    ideals += artinian_stable_ideals(3, 6)
+    outside = 0
+    for J in ideals:
+        for t in range(J.max_gen_degree() + 2):
+            for m in enumerate_terms(J.n, t):
+                if not any(g.divides(m) for g in J.min_gens):
+                    outside += 1
+                    with pytest.raises(DomainError):
+                        pommaret_decompose(J, m)
+    assert outside
 
 
 def test_pommaret_roundtrip():

@@ -115,17 +115,20 @@ def test_vanishing_columns():
         ideals.append(random_strongly_stable(rng, 3, rng.randint(2, 4)))
     for J in ideals:
         n = J.n
-        rows, nparams, col = _linear_rows(J)
+        rows, nparams, D = _linear_rows(J)
         touched = set()
         for row in rows:
             touched.update(row)
         from arevlex import contains, Term
 
-        for (gi, beta), c in col.items():
-            moved = list(beta)
-            moved[n - 1] += 1
-            if contains(J, Term(tuple(moved))):
-                assert c not in touched
+        sous = _full_sous_raw(J)
+        assert D == len(sous) and nparams == len(J.min_gens) * D
+        for gi in range(len(J.min_gens)):
+            for i, beta in enumerate(sous):
+                moved = list(beta)
+                moved[n - 1] += 1
+                if contains(J, Term(tuple(moved))):
+                    assert gi * D + i not in touched
 
 
 def test_linearized_reduce_structure():
