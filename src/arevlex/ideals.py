@@ -7,17 +7,20 @@ and exactly.
 
 Membership has two routes, each the only one for its inputs:
 
-* ``_contains_raw`` scans the generators up to the degree of the term; it
-  serves ideals not known to be stable (:func:`contains`,
-  :func:`sous_escalier`, and through it the colength and Hilbert function
-  of a non-stable ideal).  The minimality check of a basis scans the same
-  way.
+* ``_Divisors``, a trie on the exponent vectors of B_J that every ideal
+  builds when it is created, answers "does some generator divide e?"
+  exactly without assuming stability.  Building it is the minimality check
+  of the basis (each generator is queried, then inserted), and it serves
+  :func:`minimalize`, :func:`contains`, :func:`sous_escalier` (and through
+  it the colength and Hilbert function of a non-stable ideal) and the
+  quasi-stability predicate.
 * ``MonomialIdeal._head`` walks down from the term by its smallest variable
   until it meets B_J; for a stable ideal this finds the head alpha of the
   unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau) set
   lookups, or shows tau is outside J.  It serves everything that requires
-  stability: the stability predicates themselves, the head decomposition
-  and, through it, the tangent equations and the marked reduction.
+  stability: the stability and strong stability predicates, the head
+  decomposition and, through it, the tangent equations and the marked
+  reduction.
 
 Staircases of stable ideals come from the first-expansion recursion
 N(J)_{t+1} = E(N(J)_t) \\ B_J (``_slices``), which the construction shares;
@@ -43,6 +46,66 @@ from .terms import (
 )
 
 
+class _Divisors:
+    """A set of terms in n variables that answers "does one of them divide e?".
+
+    A trie on exponent vectors: the root is keyed by the exponent of x1, its
+    children by that of x2, and so on through x_{n-1}; each path ends in the
+    smallest exponent of x_n among the terms with that prefix.  A query
+    descends only into keys at most the matching exponent of e, so it is
+    exact for any set of terms, stable or not.
+    """
+
+    __slots__ = ("_depth", "_root")
+
+    def __init__(self, n: int):
+        self._depth = n - 1
+        self._root: dict | int | None = {} if n > 1 else None
+
+    def add(self, e: tuple[int, ...]) -> None:
+        d = self._depth
+        if not d:
+            if self._root is None or e[0] < self._root:
+                self._root = e[0]
+            return
+        node = self._root
+        for x in e[: d - 1]:
+            child = node.get(x)
+            if child is None:
+                child = node[x] = {}
+            node = child
+        low = node.get(e[d - 1])
+        if low is None or e[d] < low:
+            node[e[d - 1]] = e[d]
+
+    def divides(self, e: tuple[int, ...]) -> bool:
+        """True iff some term of the set divides e."""
+        d = self._depth
+        if not d:
+            return self._root is not None and self._root <= e[0]
+        return _trie_hit(self._root, e, 0, d - 1)
+
+
+def _trie_hit(node: dict, e: tuple[int, ...], k: int, leaf: int) -> bool:
+    """True iff a term stored under ``node`` divides e in coordinates k and up.
+
+    ``node`` is keyed by the exponent of x_{k+1}; at level ``leaf`` its
+    values are the smallest exponents of x_n stored under each key.
+    """
+    x = e[k]
+    if k == leaf:
+        y = e[k + 1]
+        for key, low in node.items():
+            if key <= x and low <= y:
+                return True
+        return False
+    k += 1
+    for key, child in node.items():
+        if key <= x and _trie_hit(child, e, k, leaf):
+            return True
+    return False
+
+
 @dataclass(frozen=True, eq=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal basis, sorted increasing degrevlex."""
@@ -51,32 +114,29 @@ class MonomialIdeal:
     min_gens: tuple[Term, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DimensionError(f"need at least one variable, got n={self.n}")
         raw = tuple(g.exponents for g in self.min_gens)
         if any(len(e) != self.n for e in raw):
             raise DimensionError("generator over the wrong variable count")
         for i in range(1, len(raw)):
             if raw_cmp(raw[i - 1], raw[i]) >= 0:
                 raise DomainError("generators not strictly increasing in degrevlex")
-        # same-degree terms never divide each other; only test across degrees,
-        # and the degree-major sort lets each scan stop at the first tie
-        degs = [sum(e) for e in raw]
-        for i, b in enumerate(raw):
-            db = degs[i]
-            for a, da in zip(raw, degs):
-                if da >= db:
-                    break
-                if raw_divides(a, b):
-                    raise DomainError(f"basis not minimal: {a} divides {b}")
+        # distinct terms of one degree never divide each other, so in the
+        # sorted order a divisor of b can only have been inserted before it
+        index = _Divisors(self.n)
+        for b in raw:
+            if index.divides(b):
+                a = next(a for a in raw if raw_divides(a, b))
+                raise DomainError(f"basis not minimal: {a} divides {b}")
+            index.add(b)
+        self.__dict__["_divisors"] = index
 
     # -- plumbing ----------------------------------------------------------
 
     @cached_property
     def _raw(self) -> tuple[tuple[int, ...], ...]:
         return tuple(g.exponents for g in self.min_gens)
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        return tuple(sum(g) for g in self._raw)
 
     @property
     def is_zero(self) -> bool:
@@ -87,17 +147,6 @@ class MonomialIdeal:
             raise DomainError("the zero ideal has no generators")
         return sum(self._raw[-1])
 
-    def _contains_raw(self, e: tuple[int, ...]) -> bool:
-        # generators are degree-major sorted: stop once they outweigh e
-        d = sum(e)
-        degs = self._degrees
-        for i, g in enumerate(self._raw):
-            if degs[i] > d:
-                return False
-            if raw_divides(g, e):
-                return True
-        return False
-
     def __str__(self) -> str:
         return ideal_to_text(self)
 
@@ -106,7 +155,9 @@ class MonomialIdeal:
     @cached_property
     def _quasi_stable(self) -> bool:
         # x_j^s * g / min(g) in J for some s>0  <=>  some generator divides
-        # it once the x_j exponent is allowed to grow without bound.
+        # it once the x_j exponent is allowed to grow without bound; no
+        # generator's x_j exponent exceeds the top generator degree.
+        top = sum(self._raw[-1]) if self._raw else 0
         for g in self._raw:
             k = raw_min_var(g) if sum(g) else 0
             if not k:
@@ -114,13 +165,11 @@ class MonomialIdeal:
             sigma = list(g)
             sigma[k - 1] -= 1
             for j in range(1, k):
-                ok = False
-                for h in self._raw:
-                    if all(h[v] <= sigma[v] for v in range(self.n) if v != j - 1):
-                        ok = True
-                        break
-                if not ok:
+                free = sigma[j - 1]
+                sigma[j - 1] = top
+                if not self._divisors.divides(tuple(sigma)):
                     return False
+                sigma[j - 1] = free
         return True
 
     @cached_property
@@ -223,9 +272,12 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
     raw = sorted({g.exponents for g in gens}, key=raw_key)
     if any(len(e) != nv for e in raw):
         raise DimensionError("mixed variable counts in generator list")
+    # a divisor precedes its multiples in the degree-major order
     kept: list[tuple[int, ...]] = []
+    index = _Divisors(nv)
     for e in raw:
-        if not any(raw_divides(k, e) for k in kept):
+        if not index.divides(e):
+            index.add(e)
             kept.append(e)
     return MonomialIdeal(nv, tuple(Term(e) for e in kept))
 
@@ -234,7 +286,7 @@ def contains(J: MonomialIdeal, tau: Term) -> bool:
     """True iff some minimal generator divides tau."""
     if tau.nvars != J.n:
         raise DimensionError(f"term over {tau.nvars} variables, ideal over {J.n}")
-    return J._contains_raw(tau.exponents)
+    return J._divisors.divides(tau.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +297,8 @@ def sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
     """N(J)_t: the degree-t terms outside J, increasing degrevlex."""
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    return [m for m in enumerate_terms(J.n, t) if not J._contains_raw(m.exponents)]
+    divides = J._divisors.divides
+    return [m for m in enumerate_terms(J.n, t) if not divides(m.exponents)]
 
 
 def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:

@@ -83,6 +83,41 @@ def brute_is_strongly_stable(J: MonomialIdeal) -> bool:
     return True
 
 
+def brute_is_quasi_stable(J: MonomialIdeal) -> bool:
+    """x_j^s * g / x_min(g) in J for some s > 0, every generator g and j < min(g).
+
+    Membership only grows with s, and a generator dividing some x_j^s * sigma
+    divides it once s reaches the generator's degree, so s runs up to the
+    largest generator degree.
+    """
+    top = max((g.degree for g in J.min_gens), default=0)
+    for g in J.min_gens:
+        if g.degree == 0:
+            continue
+        k = g.min_var()
+        for j in range(1, k):
+            ok = False
+            for s in range(1, top + 1):
+                e = list(g.exponents)
+                e[k - 1] -= 1
+                e[j - 1] += s
+                if _in_ideal(J, e):
+                    ok = True
+                    break
+            if not ok:
+                return False
+    return True
+
+
+def brute_minimal_basis(terms: list[Term]) -> tuple[Term, ...]:
+    """The terms that no other listed term divides, deduplicated and sorted."""
+    distinct = set(terms)
+    return tuple(sorted(
+        (b for b in distinct if not any(a != b and a.divides(b) for a in distinct)),
+        key=Term.sort_key,
+    ))
+
+
 def random_monomial_ideal(rng, n: int, max_exp: int = 3, max_gens: int = 5) -> MonomialIdeal:
     """The ideal of a few random terms in n variables with exponents <= max_exp."""
     gens = [Term(tuple(rng.randint(0, max_exp) for _ in range(n)))

@@ -127,6 +127,16 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["tangent", "hilbert"])
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_ideal_file_rejects_no_variables(tmp_path, capsys, command, nvars):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vars": nvars, "generators": []}))
+    code, out, err = run_cli(capsys, command, "--ideal", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: need at least one variable, got n={nvars}\n"
+
+
 def test_hilbert_rejects_negative_upto(tmp_path, capsys):
     code, out, err = run_cli(capsys, "hilbert", "-d", "3,4", "--upto", "-1")
     assert code == 1 and out == ""

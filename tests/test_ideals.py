@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from arevlex import (
     MonomialIdeal,
     StabilityError,
     Term,
+    almost_revlex_ci,
     border_generator_count,
     colength,
     contains,
@@ -37,14 +39,18 @@ from arevlex import (
     term,
     truncate_below,
 )
-from arevlex.ideals import _slices
+from arevlex import ideals as ideals_module
+from arevlex.ideals import _Divisors, _slices
+from arevlex.terms import raw_divides
 
 from helpers import (
     artinian_stable_ideals,
     brute_first_expansion,
     brute_is_almost_revlex,
+    brute_is_quasi_stable,
     brute_is_stable,
     brute_is_strongly_stable,
+    brute_minimal_basis,
     brute_pommaret_candidates,
     curve_ideal,
     curve_ideal_alt,
@@ -80,6 +86,73 @@ def test_ideal_invariants_enforced():
         MonomialIdeal(2, (term(2, 0), term(2, 1)))  # not minimal
     with pytest.raises(DomainError):
         MonomialIdeal(2, (term(0, 3), term(2, 0)))  # not sorted
+
+
+def test_basis_checks_match_brute_force():
+    # seeded random generator lists with duplicates and multiples; the oracle
+    # compares every pair with Term.divides and never calls minimalize
+    rng = random.Random(5150)
+    rejected = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        pool = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 3)):
+            e = rng.choice(pool)
+            pool.append(rng.choice([e, tuple(x + rng.randint(0, 2) for x in e)]))
+        terms = [Term(e) for e in pool]
+        expected = brute_minimal_basis(terms)
+        J = minimalize(terms)
+        assert J.min_gens == expected
+        # the index itself, filled in random order with multiples included
+        index = _Divisors(n)
+        for e in rng.sample(pool, len(pool)):
+            index.add(e)
+        for m in enumerate_terms(n, rng.randint(0, 6)):
+            assert contains(J, m) == any(g.divides(m) for g in expected)
+            assert index.divides(m.exponents) == contains(J, m)
+        # the sorted distinct list is a valid basis exactly when it is minimal
+        basis = tuple(sorted(set(terms), key=Term.sort_key))
+        proper = [(a, b) for b in basis for a in basis if a != b and a.divides(b)]
+        if not proper:
+            assert MonomialIdeal(n, basis).min_gens == expected
+            continue
+        rejected += 1
+        with pytest.raises(DomainError) as info:
+            MonomialIdeal(n, basis)
+        a, b = (ast.literal_eval(x) for x in
+                str(info.value).removeprefix("basis not minimal: ").split(" divides "))
+        assert a != b and Term(a).divides(Term(b))
+        # named: the first generator with a divisor, and its first divisor
+        assert (Term(a), Term(b)) == proper[0]
+    assert min(rejected, 1500 - rejected) > 100
+
+
+def test_basis_checks_make_no_pairwise_scan(monkeypatch):
+    # the basis check and minimalize answer divisibility from the trie;
+    # pairwise scans make 179k (construction) and 375k (minimalize)
+    # raw_divides calls on this basis
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return raw_divides(a, b)
+
+    monkeypatch.setattr(ideals_module, "raw_divides", counting)
+    J = almost_revlex_ci(5, (5, 5, 5, 5, 8))
+    assert len(J.min_gens) == 627
+    assert calls < len(J.min_gens)
+    calls = 0
+    assert minimalize(list(J.min_gens)) == J
+    assert calls < len(J.min_gens)
+
+
+def test_ideal_needs_a_variable():
+    for n in (0, -1):
+        with pytest.raises(DimensionError, match=f"need at least one variable, got n={n}"):
+            MonomialIdeal(n, ())
+        with pytest.raises(DimensionError):
+            minimalize([], n=n)
 
 
 def test_contains():
@@ -183,10 +256,11 @@ def test_stability_predicates_match_definitions():
         ideals += [ideal_with_staircase(S, n) for S in order_ideals(n, 8)]
     seen = set()
     for J in ideals:
-        kind = (brute_is_stable(J), brute_is_strongly_stable(J))
-        assert (is_stable(J), is_strongly_stable(J)) == kind, J
+        kind = (brute_is_quasi_stable(J), brute_is_stable(J), brute_is_strongly_stable(J))
+        assert (is_quasi_stable(J), is_stable(J), is_strongly_stable(J)) == kind, J
         seen.add(kind)
-    assert seen == {(False, False), (True, False), (True, True)}
+    assert seen == {(False, False, False), (True, False, False), (True, True, False),
+                    (True, True, True)}
 
 
 def test_almost_revlex_examples():
