@@ -77,19 +77,12 @@ def cmd_hilbert(args) -> int:
             _emit("m: " + ",".join(str(v) for v in profile.m))
             _emit("u: " + ",".join(str(v) for v in profile.u_bar))
     else:
-        J = _load_ideal(args.ideal)
-        upto = args.upto
-        if upto is None:
+        # without --upto, hf_of_ideal extends through the socle or regularity
+        H = h_mod.hf_of_ideal(_load_ideal(args.ideal), args.upto or 0)
+        if args.upto is None and H.eventual is None:
             # a default range only makes sense when the tail is known
-            tagged = not J.is_zero and (
-                J.is_artinian
-                or (i_mod.is_strongly_stable(J) and i_mod.krull_dim(J) <= 1)
-            )
-            if not tagged:
-                raise AlgebraError("--upto is required for this ideal")
-            upto = 0  # hf_of_ideal extends through the socle or regularity
-        H = h_mod.hf_of_ideal(J, upto)
-        shown = max(upto, H.top) if args.upto is None else upto
+            raise AlgebraError("--upto is required for this ideal")
+        shown = H.top if args.upto is None else args.upto
         if args.format == "json":
             out = H.to_json()
             out["values"] = H.table(shown)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DomainError
-from .ideals import MonomialIdeal, _slices, is_strongly_stable, krull_dim, sous_escalier
+from .ideals import MonomialIdeal, _slices, _socle_slices, is_strongly_stable, krull_dim
+from .terms import json_int
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class HilbertFunction:
 
 def hf_from_json(data: dict) -> HilbertFunction:
     ev = data.get("eventual")
-    eventual = None if ev is None else Eventual(ev["kind"], int(ev.get("value", 0)))
-    return HilbertFunction(tuple(int(v) for v in data["values"]), eventual)
+    eventual = None if ev is None else Eventual(ev["kind"], json_int(ev.get("value", 0)))
+    return HilbertFunction(tuple(json_int(v) for v in data["values"]), eventual)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ class CIProfile:
 
 
 def validate_degrees(degrees) -> tuple[int, ...]:
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(json_int(d) for d in degrees)
     if not degrees:
         raise DomainError("empty degree list")
     if degrees[0] < 2:
@@ -262,40 +263,19 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     """Table of |N(J)_t| with the eventual behavior inferred when possible.
 
     Artinian ideals get an eventual-zero tag (the table is extended through
-    the socle), strongly stable ideals of Krull dimension one an
+    the socle), nonzero strongly stable ideals of Krull dimension one an
     eventual-constant tag (extended through the regularity); anything else
     is reported as a bare table.
     """
     if up_to < 0:
         raise DomainError("up_to must be nonnegative")
-    if J.is_zero:
-        counts = [len(sous_escalier(J, t)) for t in range(up_to + 1)]
-        return HilbertFunction(tuple(counts), None)
     if J.is_artinian:
-        if J._stable:
-            # for stable Artinian ideals the table vanishes exactly at reg
-            top = max(up_to, J.max_gen_degree())
-            counts = [len(s) for s in _slices(J, top)]
-        else:
-            counts, t = [], 0
-            while True:
-                counts.append(len(sous_escalier(J, t)))
-                if counts[-1] == 0 and t >= up_to:
-                    break
-                t += 1
-        if counts[-1] != 0:
-            raise AssertionError("Artinian Hilbert table does not end in zero")
+        counts = [len(s) for s in _socle_slices(J, up_to)]
         return HilbertFunction(tuple(counts), Eventual("zero"))
-    if J._stable:
-        reg = J.max_gen_degree()
-        if is_strongly_stable(J) and krull_dim(J) == 1:
-            top = max(up_to, reg)
-            counts = [len(s) for s in _slices(J, top)]
-            return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
-        counts = [len(s) for s in _slices(J, up_to)]
-        return HilbertFunction(tuple(counts), None)
-    counts = [len(sous_escalier(J, t)) for t in range(up_to + 1)]
-    return HilbertFunction(tuple(counts), None)
+    if not J.is_zero and is_strongly_stable(J) and krull_dim(J) == 1:
+        counts = [len(s) for s in _slices(J, max(up_to, J.max_gen_degree()))]
+        return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
+    return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ Membership has two routes, each the only one for its inputs:
   builds when it is created, answers "does some generator divide e?"
   exactly without assuming stability.  Building it is the minimality check
   of the basis (each generator is queried, then inserted), and it serves
-  :func:`minimalize`, :func:`contains`, :func:`sous_escalier` (and through
-  it the colength and Hilbert function of a non-stable ideal) and the
-  quasi-stability predicate.
+  :func:`minimalize`, :func:`contains`, the staircase of a non-stable
+  ideal and the quasi-stability predicate.
 * ``MonomialIdeal._head`` walks down from the term by its smallest variable
   until it meets B_J; for a stable ideal this finds the head alpha of the
   unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau) set
@@ -22,9 +21,13 @@ Membership has two routes, each the only one for its inputs:
   decomposition and, through it, the tangent equations and the marked
   reduction.
 
-Staircases of stable ideals come from the first-expansion recursion
-N(J)_{t+1} = E(N(J)_t) \\ B_J (``_slices``), which the construction shares;
-the test suite pins it against the filtering route :func:`sous_escalier`.
+The staircase N(J) of every monomial ideal comes from one recursion,
+N(J)_{t+1} = E(N(J)_t) \\ J (``_slices``): N(J) is an order ideal, so a
+term of degree t+1 outside J has its cofactor m/x_{min(m)} in N(J)_t.  For a
+stable J only B_J meets the expansion, and a set lookup in B_J decides;
+any other J asks ``_Divisors``.  :func:`sous_escalier`, :func:`colength`
+and the Hilbert function of a quotient read it; the construction shares the
+recursion.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class _Divisors:
         if not d:
             return self._root is not None and self._root <= e[0]
         return _trie_hit(self._root, e, 0, d - 1)
+
+    __contains__ = divides
 
 
 def _trie_hit(node: dict, e: tuple[int, ...], k: int, leaf: int) -> bool:
@@ -297,12 +302,11 @@ def sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
     """N(J)_t: the degree-t terms outside J, increasing degrevlex."""
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    divides = J._divisors.divides
-    return [m for m in enumerate_terms(J.n, t) if not divides(m.exponents)]
+    return [Term(e) for e in _slices(J, t)[t]]
 
 
 def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """First expansion of a sorted sous-escalier slice of a stable ideal.
+    """First expansion of a sorted sous-escalier slice.
 
     Implements the disjoint union over i = 0..n-1 of
     x_{n-i} * [tau : min(tau) >= x_{n-i}].  Each block is sorted because the
@@ -331,32 +335,49 @@ def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...
 
 
 def _extend_slices(
-    store: list[list[tuple[int, ...]]], gens: set | frozenset, n: int, upto: int
+    store: list[list[tuple[int, ...]]],
+    inside: set | frozenset | _Divisors,
+    n: int,
+    upto: int,
 ) -> list[list[tuple[int, ...]]]:
     """Extend the sous-escalier slices ``store`` (t = 0..len-1) through ``upto``.
 
-    Iterates N(J)_{t+1} = E(N(J)_t) minus B_J, where ``gens`` is the set of
-    minimal generators of a stable ideal; only those of degree t+1 can meet
-    the expansion.  Returns ``store``, extended in place.
+    Iterates N(J)_{t+1} = E(N(J)_t) minus J, where ``m in inside`` must be
+    true exactly for the expanded terms m that lie in J: the set B_J when J
+    is stable (only generators of degree t+1 can meet the expansion), the
+    divisor index of B_J otherwise.  Returns ``store``, extended in place.
     """
     for _ in range(len(store), upto + 1):
-        store.append([m for m in _expand_slice(store[-1], n) if m not in gens])
+        store.append([m for m in _expand_slice(store[-1], n) if m not in inside])
     return store
 
 
 def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
-    """Sous-escalier slices of a stable ideal for t = 0..upto, each sorted.
+    """Sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
 
-    Agreement with the filtering route is pinned by tests.  The computed
-    prefix is cached on the ideal and only extended.
+    Agreement with the definition (every term of the degree, filtered by
+    divisibility) is pinned by tests.  The computed prefix is cached on the
+    ideal and only extended.
     """
-    if not J._stable:
-        raise StabilityError("expansion recursion requires a stable ideal")
     store = J.__dict__.get("_slice_store")
     if store is None:
         zero = (0,) * J.n
         store = J.__dict__["_slice_store"] = [[] if zero in J._gen_set else [zero]]
-    return _extend_slices(store, J._gen_set, J.n, upto)[: upto + 1]
+    inside = J._gen_set if J._stable else J._divisors
+    return _extend_slices(store, inside, J.n, upto)[: upto + 1]
+
+
+def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[tuple[int, ...]]]:
+    """Slices of an Artinian J through ``up_to`` and through the first empty one.
+
+    N(J)_{reg-1} holds the cofactor of a top-degree generator, so the first
+    empty slice lies at or past the top generator degree reg; for a stable J
+    it is the slice at reg.
+    """
+    slices = _slices(J, max(up_to, J.max_gen_degree()))
+    while slices[-1]:
+        slices.append(_slices(J, len(slices))[-1])
+    return slices
 
 
 def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -520,17 +541,9 @@ def regularity(J: MonomialIdeal) -> int:
 
 def colength(J: MonomialIdeal) -> int:
     """|N(J)| = sum of the Hilbert function, for Artinian J."""
-    if J.is_zero or not J.is_artinian:
+    if not J.is_artinian:
         raise DomainError("colength requires an Artinian ideal")
-    if J._stable:
-        return sum(len(s) for s in _slices(J, J.max_gen_degree()))
-    total, t = 0, 0
-    while True:
-        c = len(sous_escalier(J, t))
-        if c == 0 and t > 0:
-            return total
-        total += c
-        t += 1
+    return sum(len(s) for s in _socle_slices(J, 0))
 
 
 def border_generator_count(J: MonomialIdeal) -> int:

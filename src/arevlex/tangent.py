@@ -367,18 +367,15 @@ def classify_ci(degrees, exact: bool = True) -> ClassificationVerdict:
     lex = n * D
     total = sum(degrees)
 
+    # criterion (ii), prod(d_1..d_{n-1}) > n^3*d_n, is not tested: it gives
+    # D > n^3*d_n^2 >= n*(sum d)^2, so (i) has already fired.  Nor is the
+    # refined bound of hc1_bounds: it never exceeds H(c_1), so whenever its
+    # square beats lex, Hc1-squared has already fired.
     if D > n * total**2:
         return ClassificationVerdict(
             "singular",
             "numeric-criterion-(i)",
             {"product": D, "n_sum_sq": n * total**2},
-        )
-    head = prod(degrees[:-1])
-    if head > n**3 * degrees[-1]:
-        return ClassificationVerdict(
-            "singular",
-            "numeric-criterion-(ii)",
-            {"head_product": head, "n3_dn": n**3 * degrees[-1]},
         )
     if degrees[-1] == degrees[-2] and prod(degrees[:-2]) >= n**3:
         return ClassificationVerdict(
@@ -399,13 +396,6 @@ def classify_ci(degrees, exact: bool = True) -> ClassificationVerdict:
             "singular",
             "sum-times-Hc1",
             {"mingens": gens, "hc1": hc1, "product": gens * hc1, "lex_dim": lex},
-        )
-    _, refined = hc1_bounds(degrees)
-    if refined is not None and refined > 0 and refined * refined > lex:
-        return ClassificationVerdict(
-            "singular",
-            "refined-Hc1",
-            {"refined_bound": str(refined), "lex_dim": lex},
         )
     if not exact:
         return ClassificationVerdict(

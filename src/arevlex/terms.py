@@ -21,10 +21,6 @@ from .errors import DimensionError, DomainError
 # tuple-level kernel
 
 
-def raw_degree(e: tuple[int, ...]) -> int:
-    return sum(e)
-
-
 def raw_key(e: tuple[int, ...]):
     """Sort key realizing increasing degrevlex on exponent tuples.
 

@@ -36,6 +36,12 @@ def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
     return [m for m in enumerate_terms(n, t + 1) if m.exponents not in forbidden]
 
 
+def brute_sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
+    """N(J)_t by definition: every degree-t term that no minimal generator divides."""
+    return [m for m in enumerate_terms(J.n, t)
+            if not any(g.divides(m) for g in J.min_gens)]
+
+
 def brute_is_almost_revlex(J: MonomialIdeal) -> bool:
     for g in J.min_gens:
         for m in enumerate_terms(J.n, g.degree):
@@ -123,6 +129,18 @@ def random_monomial_ideal(rng, n: int, max_exp: int = 3, max_gens: int = 5) -> M
     gens = [Term(tuple(rng.randint(0, max_exp) for _ in range(n)))
             for _ in range(rng.randint(1, max_gens))]
     return minimalize(gens, n)
+
+
+def random_artinian_ideal(rng, n: int, max_power: int = 5) -> MonomialIdeal:
+    """A random proper monomial ideal plus a pure power x_i^a, a <= max_power, of each x_i.
+
+    Its staircase lies under that of the pure powers, so every slice past
+    degree n*(max_power - 1) is empty.
+    """
+    powers = [Term(tuple(rng.randint(1, max_power) if k == i else 0 for k in range(n)))
+              for i in range(n)]
+    gens = [g for g in random_monomial_ideal(rng, n).min_gens if g.degree]
+    return minimalize(gens + powers, n)
 
 
 def brute_pommaret_candidates(J: MonomialIdeal, tau: Term):

@@ -61,6 +61,22 @@ def test_hilbert_ideal_file(tmp_path, capsys):
     assert out.splitlines()[0] == "1,3,6,6,5,5"
 
 
+@pytest.mark.parametrize("nvars, gens, table", [
+    (1, [], None),  # the zero ideal
+    (3, [[2, 0, 0], [0, 2, 1]], None),  # not stable, not Artinian
+    (3, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 1, 2]], None),  # stable only
+    (2, [[2, 0], [0, 2]], "1,2,1,0"),  # not stable, Artinian
+])
+def test_hilbert_ideal_without_upto(tmp_path, capsys, nvars, gens, table):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": nvars, "generators": gens}))
+    code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path))
+    if table is None:
+        assert code == 1 and out == "" and "--upto is required" in err
+    else:
+        assert code == 0 and out == table + "\n"
+
+
 def test_hilbert_bad_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -18,6 +18,7 @@ from arevlex import (
     check_unimodal_ranges,
     ci_hilbert,
     ci_hilbert_oracle,
+    classify_ci,
     derivative,
     extend_ring,
     hf_from_json,
@@ -160,6 +161,24 @@ def test_hf_of_ideal():
     assert H2e.eventual is None  # dimension 2: no eventual tag
     with pytest.raises(DomainError):
         H2e(7)
+
+
+def test_hf_of_zero_ideal_is_untagged():
+    # strongly stable of Krull dimension n, yet a bare table even for n = 1
+    for n, table in [(1, [1, 1, 1, 1]), (3, [1, 3, 6, 10])]:
+        H = hf_of_ideal(minimalize([], n), 3)
+        assert H.table(3) == table and H.eventual is None
+
+
+def test_library_entry_points_reject_non_integers():
+    with pytest.raises(DomainError):
+        ci_hilbert((2.7, 3))
+    with pytest.raises(DomainError):
+        hf_from_json({"values": [1, 2.9, True], "eventual": None})
+    with pytest.raises(DomainError):
+        hf_from_json({"values": [1, 2, 2], "eventual": {"kind": "constant", "value": 2.0}})
+    with pytest.raises(DomainError):
+        classify_ci(("3", "3", "3"))
 
 
 def ci_ideal_344():

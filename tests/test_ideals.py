@@ -52,10 +52,12 @@ from helpers import (
     brute_is_strongly_stable,
     brute_minimal_basis,
     brute_pommaret_candidates,
+    brute_sous_escalier,
     curve_ideal,
     curve_ideal_alt,
     ideal_with_staircase,
     order_ideals,
+    random_artinian_ideal,
     random_monomial_ideal,
     random_strongly_stable,
 )
@@ -179,11 +181,25 @@ def test_sous_escalier_fast_path_agrees_with_filter():
     for n in (2, 3, 4):
         for _ in range(6):
             ideals.append(random_strongly_stable(rng, n, rng.randint(2, 5)))
+    # non-stable ideals, non-Artinian and Artinian, and zero ideals; the
+    # degrees run past the last nonzero slice
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            ideals.append(random_monomial_ideal(rng, n))
+            ideals.append(random_artinian_ideal(rng, n))
+    ideals += [minimalize([], 1), minimalize([], 3)]
+    assert sum(not is_stable(J) for J in ideals) >= 20
     for J in ideals:
-        top = J.max_gen_degree() + 2
-        slices = _slices(J, top)
+        if J.is_artinian:  # every pure power here has exponent <= 5
+            top = J.n * 4 + 2
+        else:
+            top = (0 if J.is_zero else J.max_gen_degree()) + 3
+        slices = _slices(J, top) if is_stable(J) else None
         for t in range(top + 1):
-            assert [Term(e) for e in slices[t]] == sous_escalier(J, t)
+            want = brute_sous_escalier(J, t)
+            assert sous_escalier(J, t) == want, (J, t)
+            if slices is not None:
+                assert [Term(e) for e in slices[t]] == want, (J, t)
 
 
 def test_first_expansion_golden_eleven_terms():
@@ -437,8 +453,14 @@ def test_colength():
     for _ in range(8):
         J = random_strongly_stable(rng, 3, rng.randint(2, 5))
         assert colength(J) == sum(
-            len(sous_escalier(J, t)) for t in range(J.max_gen_degree() + 1)
+            len(brute_sous_escalier(J, t)) for t in range(J.max_gen_degree() + 1)
         )
+    for n in (1, 2, 3):
+        for _ in range(6):
+            J = random_artinian_ideal(rng, n)
+            assert colength(J) == sum(
+                len(brute_sous_escalier(J, t)) for t in range(n * 4 + 1)
+            )
 
 
 def test_border_generator_count_matches_colon_ideal():

@@ -375,6 +375,36 @@ def test_hc1_bounds_hold_on_grid():
             assert peak >= refined, degs
 
 
+def test_dropped_criteria_are_implied_by_earlier_ones():
+    # criterion (ii), prod(d_1..d_{n-1}) > n^3*d_n, implies criterion (i),
+    # D > n*(sum d)^2, because n*d_n >= sum d; the refined bound on H(c_1)
+    # never exceeds H(c_1), so refined^2 > lex implies H(c_1)^2 >= lex
+    from itertools import combinations_with_replacement
+    from math import prod
+
+    from helpers import ci_degree_grid
+
+    grid = [degs for degs in ci_degree_grid(5, 2, 8, 5000) if len(degs) >= 3]
+    sweep = [degs for n, hi in [(3, 16), (4, 16), (5, 9)]
+             for degs in combinations_with_replacement(range(2, hi + 1), n)]
+    for degs in grid + sweep:
+        n, D, total = len(degs), prod(degs), sum(degs)
+        assert n**3 * degs[-1] ** 2 >= n * total**2
+        H = ci_hilbert(degs)
+        hc1 = H(c_index(H, 1))
+        _, refined = hc1_bounds(degs)
+        if refined is not None:
+            assert refined <= hc1, degs
+        fired_ii = prod(degs[:-1]) > n**3 * degs[-1]
+        fired_refined = refined is not None and refined > 0 and refined**2 > n * D
+        if fired_ii:
+            assert D > n * total**2, degs
+        if fired_refined:
+            assert hc1 * hc1 >= n * D, degs
+        if fired_ii or fired_refined:
+            assert classify_ci(degs, exact=False).verdict == "singular", degs
+
+
 def test_cascade_verdicts_confirmed_by_exact_tangent():
     # whenever a numeric criterion certifies singularity, the exact tangent
     # dimension certifies it too
