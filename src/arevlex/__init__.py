@@ -11,7 +11,7 @@ The package is organized around five layers:
 * :mod:`arevlex.tangent` -- linearized marked-polynomial reduction, exact
   tangent dimensions on punctual Hilbert schemes and singularity
   certificates (with :mod:`arevlex.marked_reduction` as the independent
-  full-reduction audit).
+  full-reduction audit, computed modulo the square of the parameter ideal).
 """
 
 from .construct import (

@@ -110,9 +110,13 @@ class HilbertFunction:
 
 
 def hf_from_json(data: dict) -> HilbertFunction:
-    ev = data.get("eventual")
-    eventual = None if ev is None else Eventual(ev["kind"], json_int(ev.get("value", 0)))
-    return HilbertFunction(tuple(json_int(v) for v in data["values"]), eventual)
+    try:
+        ev = data.get("eventual")
+        eventual = None if ev is None else Eventual(ev["kind"], json_int(ev.get("value", 0)))
+        values = tuple(json_int(v) for v in data["values"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed Hilbert function JSON: {exc}") from exc
+    return HilbertFunction(values, eventual)
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,17 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank(rows, pivot: str = "min") -> int:
+def rank(rows) -> int:
     """Rank over Q of the matrix whose rows are sparse integer dicts.
 
-    ``pivot`` selects which column of a row becomes its pivot ("min" or
-    "max" column index); the result is identical either way, which the test
-    suite exercises as a determinism check.
+    The smallest column index of a row becomes its pivot.
     """
-    if pivot not in ("min", "max"):
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
-    choose = min if pivot == "min" else max
     pivots: dict[int, dict[int, int]] = {}
     r = 0
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
-            c = choose(row)
+            c = min(row)
             p = pivots.get(c)
             if p is None:
                 pivots[c] = _normalize(row)

@@ -1,19 +1,27 @@
 """Full symbolic reduction of marked polynomials; audit oracle for the tangent rows.
 
-This module re-derives the tangent-space equations without the linear
-truncation: each x_j * f_gamma is rewritten by the head decompositions
-until its support lies outside J, with coefficients tracked as honest
-polynomials in the parameters.  The degree-one slice of every remainder
-coefficient must span the same row space as the direct linearization; the
-acceptance suite checks that on every small Artinian stable ideal.
+This module re-derives the tangent-space equations by rewriting: each
+x_j * f_gamma is rewritten by the head decompositions until its support
+lies outside J.  Unlike :mod:`arevlex.tangent`, it does not decide up front
+which products land back inside J; it follows every rewrite.  The degree-one
+slice of every remainder coefficient must span the same row space as the
+direct linearization; the acceptance suite checks that on every small
+Artinian stable ideal.
 
-Coefficient polynomials are dicts mapping a sorted tuple of parameter ids
-(a monomial in the C variables) to an integer.
+Coefficients live in Z[C]/(C)^2, not in Z[C].  Every rewrite multiplies a
+coefficient by one parameter, and the quotient map Z[C] -> Z[C]/(C)^2 is a
+ring homomorphism, so reducing every coefficient modulo (C)^2 at each step
+yields exactly the constant and degree-one parts of the untruncated
+remainder.  Those are the only parts read: the constant part by the
+flatness check, the degree-one part by :func:`oracle_rows`.  The result is
+exact, not an approximation; the test suite keeps the untruncated product
+as a reference on a fixed subset.
+
+A coefficient is a dict mapping ``()`` (the constant) or ``(pid,)`` (the
+parameter with that id) to a nonzero integer.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, _pommaret_raw
@@ -26,7 +34,7 @@ from .tangent import (
 )
 from .terms import raw_key, raw_min_var, raw_mul, raw_var
 
-CPoly = dict  # tuple[int, ...] -> int
+CPoly = dict  # () or (pid,) -> int
 
 
 def _add_term(poly: CPoly, mono: tuple[int, ...], coeff: int):
@@ -38,18 +46,17 @@ def _add_term(poly: CPoly, mono: tuple[int, ...], coeff: int):
 
 
 def _mul_param(poly: CPoly, pid: int, sign: int) -> CPoly:
-    out: CPoly = {}
-    for mono, c in poly.items():
-        lst = list(mono)
-        insort(lst, pid)
-        out[tuple(lst)] = sign * c
-    return out
+    """sign * C[pid] * poly modulo (C)^2: only the constant term survives."""
+    c = poly.get((), 0)
+    return {(pid,): sign * c} if c else {}
 
 
 def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
-    """Remainder of x_j * f_{gens[gi]} as {x-monomial: coefficient polynomial}.
+    """Remainder of x_j * f_{gens[gi]} as {x-monomial: coefficient mod (C)^2}.
 
-    The rewriting loop always eliminates the degrevlex-greatest monomial
+    Each coefficient holds the constant and degree-one parts of the
+    untruncated remainder's coefficient, keyed ``()`` and ``(pid,)``.  The
+    rewriting loop always eliminates the degrevlex-greatest monomial
     still inside J, which makes the run deterministic; the remainder itself
     is unique whatever the strategy.
     """

@@ -7,8 +7,10 @@ code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from bisect import insort
 from math import prod
 
 from arevlex import (
@@ -143,6 +145,20 @@ def random_artinian_ideal(rng, n: int, max_power: int = 5) -> MonomialIdeal:
     return minimalize(gens + powers, n)
 
 
+def untruncated_mul_param(poly: dict, pid: int, sign: int) -> dict:
+    """sign * C[pid] * poly in Z[C], keys being sorted tuples of parameter ids.
+
+    The untruncated product that ``marked_reduction._mul_param`` computes
+    modulo (C)^2; patched in, it makes ``full_reduce`` carry every monomial.
+    """
+    out = {}
+    for mono, c in poly.items():
+        lst = list(mono)
+        insort(lst, pid)
+        out[tuple(lst)] = sign * c
+    return out
+
+
 def brute_pommaret_candidates(J: MonomialIdeal, tau: Term):
     """All (alpha, delta) splittings of tau satisfying the multiplicative-variable rule."""
     out = []
@@ -193,8 +209,12 @@ def ideal_with_staircase(S, n: int) -> MonomialIdeal:
     return minimalize([Term(g) for g in sorted(gens, key=raw_key)], n)
 
 
-def artinian_stable_ideals(max_vars: int, max_colength: int):
-    """Every Artinian stable ideal with n <= max_vars and colength <= max_colength."""
+@functools.cache
+def artinian_stable_ideals(max_vars: int, max_colength: int) -> tuple[MonomialIdeal, ...]:
+    """Every Artinian stable ideal with n <= max_vars and colength <= max_colength.
+
+    Cached, as several tests enumerate the same staircases.
+    """
     from arevlex import is_stable
 
     out = []
@@ -203,7 +223,7 @@ def artinian_stable_ideals(max_vars: int, max_colength: int):
             J = ideal_with_staircase(S, n)
             if not J.is_zero and is_stable(J):
                 out.append(J)
-    return out
+    return tuple(out)
 
 
 def borel_closure(e: tuple[int, ...]) -> set[tuple[int, ...]]:

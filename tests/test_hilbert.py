@@ -179,6 +179,10 @@ def test_library_entry_points_reject_non_integers():
         hf_from_json({"values": [1, 2, 2], "eventual": {"kind": "constant", "value": 2.0}})
     with pytest.raises(DomainError):
         classify_ci(("3", "3", "3"))
+    for bad in [{}, {"values": 5}, {"values": [1], "eventual": "zero"},
+                {"values": [1], "eventual": {"value": 0}}, [1, 2]]:
+        with pytest.raises(DomainError, match="malformed Hilbert function JSON"):
+            hf_from_json(bad)
 
 
 def ci_ideal_344():

@@ -25,6 +25,7 @@ from arevlex import (
     tangent_dim,
     term,
 )
+from arevlex import marked_reduction
 from arevlex import tangent as tangent_module
 from arevlex.linalg import rank, row_space_equal
 from arevlex.tangent import (
@@ -32,9 +33,14 @@ from arevlex.tangent import (
     _linear_rows,
     rank_agrees_with_elimination,
 )
-from arevlex.terms import raw_key
+from arevlex.terms import raw_key, raw_min_var
 
-from helpers import random_strongly_stable, tangent_check_ideals
+from helpers import (
+    artinian_stable_ideals,
+    random_strongly_stable,
+    tangent_check_ideals,
+    untruncated_mul_param,
+)
 
 CI_POINTS = [(2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 4, 4), (2, 2, 2, 2), (2,) * 5]
 
@@ -187,12 +193,28 @@ def test_oracle_agreement_sample():
             assert audit_tangent(J)
 
 
+def test_oracle_modulo_parameter_square_matches_untruncated(monkeypatch):
+    # reducing modulo (C)^2 must give the same rows as carrying every
+    # monomial in the parameters, on a fixed subset small enough to run
+    # untruncated
+    ideals = [*artinian_stable_ideals(3, 12)[:60], almost_revlex_ci(3, (2, 2, 2))]
+    truncated = [marked_reduction.oracle_rows(J) for J in ideals]
+    for J in ideals:
+        for gi, g in enumerate(J._raw):
+            for j in range(1, raw_min_var(g)):
+                for coeff in marked_reduction.full_reduce(J, gi, j).values():
+                    assert all(len(mono) <= 1 for mono in coeff), (J, gi, j)
+    monkeypatch.setattr(marked_reduction, "_mul_param", untruncated_mul_param)
+    assert [marked_reduction.oracle_rows(J) for J in ideals] == truncated
+
+
 def test_rank_pivot_and_permutation_independence():
     rng = random.Random(11)
     J = almost_revlex_ci(3, (2, 2, 3))
     rows, nparams, _ = _linear_rows(J)
-    r_min = rank(rows, pivot="min")
-    r_max = rank(rows, pivot="max")
+    r_min = rank(rows)
+    # the min pivot on reversed columns is the max pivot on the original ones
+    r_max = rank([{nparams - 1 - c: v for c, v in row.items()} for row in rows])
     assert r_min == r_max
     perm = list(range(nparams))
     rng.shuffle(perm)
@@ -274,7 +296,7 @@ def test_staircase_order_is_degrevlex(kernel_check_ideals):
 
 
 def test_tangent_dim_runs_no_elimination(monkeypatch):
-    def refuse(rows, pivot="min"):
+    def refuse(rows):
         raise AssertionError("tangent_dim must not call linalg.rank")
 
     monkeypatch.setattr(tangent_module, "matrix_rank", refuse)
