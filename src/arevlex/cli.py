@@ -34,7 +34,7 @@ def _load_ideal(path: str) -> i_mod.MonomialIdeal:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise AlgebraError(f"cannot read ideal file {path}: {exc}") from exc
     return i_mod.ideal_from_json(data)
 
@@ -123,8 +123,12 @@ def cmd_tangent(args) -> int:
                 f"colength <= {AUDIT_MAX_COLENGTH})"
             )
     if args.out:
-        with open(f"{args.out}.matrix.txt", "w") as fh:
-            fh.write(t_mod.triplet_dump(J))
+        path = f"{args.out}.matrix.txt"
+        try:
+            with open(path, "w") as fh:
+                fh.write(t_mod.triplet_dump(J))
+        except OSError as exc:
+            raise AlgebraError(f"cannot write matrix dump {path}: {exc}") from exc
     if args.format == "json":
         out = report.to_json()
         if audit_line is not None:

@@ -1,15 +1,18 @@
 """Construction of almost revlex ideals and minimal-generator counting.
 
-:func:`almost_revlex_ci` lifts the ideal one variable at a time: the
-partial ideal in i-1 variables is truncated at d_i, extended to i
-variables, completed at degree d_i by the single largest missing term, and
-then grown degree by degree, each time adjoining the greatest
--Delta^{s+1}H^[i](t) terms of the current first expansion.
+Both constructions run one greedy loop: starting from the n variables in
+degree 1, each degree t keeps the H(t) smallest terms of the first expansion
+E(N_{t-1}) as the staircase N_t and adjoins the |E(N_{t-1})| - H(t) greatest
+ones to the ideal.
 
-:func:`almost_revlex_for` is the same greedy inner loop run against an
-arbitrary Artinian value table; it either returns the unique almost revlex
-ideal with that Hilbert function or raises :class:`NoAlmostRevlexIdeal`
-naming the first deficient degree.
+:func:`almost_revlex_ci` runs it on the complete-intersection table
+``ci_hilbert(L)``; the paper proves that the almost revlex ideal exists there,
+by lifting it one variable at a time and adjoining -Delta^{s+1}H^[i](t) terms
+per degree, and the tests keep that lift as the reference this loop must
+match.  :func:`almost_revlex_for` runs it on an arbitrary Artinian value
+table; it either returns the unique almost revlex ideal with that Hilbert
+function or raises :class:`NoAlmostRevlexIdeal` naming the first deficient
+degree.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .hilbert import (
     validate_degrees,
     varrho,
 )
-from .ideals import MonomialIdeal, _expand_slice, _extend_slices, is_almost_revlex
-from .terms import Term, raw_key, raw_min_var
+from .ideals import MonomialIdeal, _expand_slice, is_almost_revlex
+from .terms import Term, raw_key
 
 
 def greatest(terms: list[Term], h: int) -> list[Term]:
@@ -38,35 +41,24 @@ def greatest(terms: list[Term], h: int) -> list[Term]:
     return terms[len(terms) - h :]
 
 
-def _greedy_run(
-    n: int,
-    gens: list[tuple[int, ...]],
-    slice_start: list[tuple[int, ...]],
-    t_start: int,
-    t_end: int,
-    drop_count,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Grow ``gens`` over degrees t_start..t_end, taking drop_count(t, slice) tops.
+def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
+    """Grow the ideal over degrees 2..end, keeping the H(t) smallest expanded terms.
 
-    ``slice_start`` is the sous-escalier slice at degree t_start - 1; returns
-    the updated generators and the slice at degree t_end.
+    H must be positive below ``end`` and vanish there, so the staircase stays
+    nonempty until the last degree empties it.  Raises
+    :class:`NoAlmostRevlexIdeal` at the first t with H(t) > |E(N_{t-1})|.
     """
-    cur = slice_start
-    for t in range(t_start, t_end + 1):
-        if not cur:
-            break  # ideal already Artinian-complete; nothing outside to expand
+    gens: list[tuple[int, ...]] = []
+    cur = _expand_slice([(0,) * n], n)  # degree-1 slice: all variables
+    for t in range(2, end + 1):
         exp = _expand_slice(cur, n)
-        h = drop_count(t, cur, exp)
-        if h < 0:
+        keep = H(t)
+        if keep > len(exp):
             raise NoAlmostRevlexIdeal(t)
-        if h > len(exp):
-            raise DomainError(f"expansion at degree {t} too small for the table")
-        if h:
-            gens.extend(exp[len(exp) - h :])
-            cur = exp[: len(exp) - h]
-        else:
-            cur = exp
-    return gens, cur
+        gens.extend(exp[keep:])
+        cur = exp[:keep]
+    gens.sort(key=raw_key)
+    return MonomialIdeal(n, tuple(Term(g) for g in gens))
 
 
 def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:
@@ -74,34 +66,7 @@ def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:
     degrees = validate_degrees(degrees)
     if len(degrees) != n:
         raise DomainError(f"expected {n} degrees, got {len(degrees)}")
-    gens: list[tuple[int, ...]] = [(degrees[0],)]
-    if n == 1:
-        return MonomialIdeal(1, (Term((degrees[0],)),))
-    d_top = sum(degrees) - n + 1
-    for i in range(2, n + 1):
-        d_i = degrees[i - 1]
-        d_next = degrees[i] if i < n else d_top
-        H = ci_hilbert(degrees[:i], i, d_next + 1)
-        # extend the ring by one (smaller) variable and rebuild the slices
-        gens = [g + (0,) for g in gens]
-        cur = _extend_slices([[(0,) * i]], set(gens), i, d_i)[-1]
-        # single greatest term completes degree d_i
-        tau = cur[-1]
-        gens.append(tau)
-        cur = cur[:-1]
-
-        def drop_count(t, slice_prev, _exp, H=H, i=i):
-            k = min(raw_min_var(m) for m in slice_prev)
-            s = i - k
-            return -derivative(H, s + 1)(t)
-
-        gens, cur = _greedy_run(i, gens, cur, d_i + 1, d_next, drop_count)
-        # loop invariant: the partial ideal already has the right values
-        if len(cur) != H(d_next):
-            raise AssertionError("partial Hilbert value drifted")
-    gens.sort(key=raw_key)
-    J = MonomialIdeal(n, tuple(Term(g) for g in gens))
-    return J
+    return _greedy(n, ci_hilbert(degrees), sum(degrees) - n + 1)
 
 
 def almost_revlex_for(H: HilbertFunction) -> MonomialIdeal:
@@ -126,11 +91,7 @@ def almost_revlex_for(H: HilbertFunction) -> MonomialIdeal:
         if H(t) == 0:
             raise DomainError("table vanishes and comes back; not a Hilbert function")
 
-    gens: list[tuple[int, ...]] = []
-    cur = _expand_slice([(0,) * n], n)  # degree-1 slice: all variables
-    gens, cur = _greedy_run(n, gens, cur, 2, end, lambda t, sl, exp: len(exp) - H(t))
-    gens.sort(key=raw_key)
-    J = MonomialIdeal(n, tuple(Term(g) for g in gens))
+    J = _greedy(n, H, end)
     if not is_almost_revlex(J):
         raise DomainError("greedy result failed the almost revlex check")
     return J

@@ -26,8 +26,9 @@ N(J)_{t+1} = E(N(J)_t) \\ J (``_slices``): N(J) is an order ideal, so a
 term of degree t+1 outside J has its cofactor m/x_{min(m)} in N(J)_t.  For a
 stable J only B_J meets the expansion, and a set lookup in B_J decides;
 any other J asks ``_Divisors``.  :func:`sous_escalier`, :func:`colength`
-and the Hilbert function of a quotient read it; the construction shares the
-recursion.
+and the Hilbert function of a quotient read it.  The construction runs the
+same expansion, keeping a prescribed number of the smallest terms per degree
+instead of filtering by J.
 """
 
 from __future__ import annotations
@@ -334,37 +335,23 @@ def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...
     return out
 
 
-def _extend_slices(
-    store: list[list[tuple[int, ...]]],
-    inside: set | frozenset | _Divisors,
-    n: int,
-    upto: int,
-) -> list[list[tuple[int, ...]]]:
-    """Extend the sous-escalier slices ``store`` (t = 0..len-1) through ``upto``.
-
-    Iterates N(J)_{t+1} = E(N(J)_t) minus J, where ``m in inside`` must be
-    true exactly for the expanded terms m that lie in J: the set B_J when J
-    is stable (only generators of degree t+1 can meet the expansion), the
-    divisor index of B_J otherwise.  Returns ``store``, extended in place.
-    """
-    for _ in range(len(store), upto + 1):
-        store.append([m for m in _expand_slice(store[-1], n) if m not in inside])
-    return store
-
-
 def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
     """Sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
 
-    Agreement with the definition (every term of the degree, filtered by
-    divisibility) is pinned by tests.  The computed prefix is cached on the
-    ideal and only extended.
+    Iterates N(J)_{t+1} = E(N(J)_t) minus J.  For a stable J only generators
+    of degree t+1 can meet the expansion, so a lookup in B_J decides; any
+    other J asks the divisor index.  Agreement with the definition (every
+    term of the degree, filtered by divisibility) is pinned by tests.  The
+    computed prefix is cached on the ideal and only extended.
     """
     store = J.__dict__.get("_slice_store")
     if store is None:
         zero = (0,) * J.n
         store = J.__dict__["_slice_store"] = [[] if zero in J._gen_set else [zero]]
     inside = J._gen_set if J._stable else J._divisors
-    return _extend_slices(store, inside, J.n, upto)[: upto + 1]
+    for _ in range(len(store), upto + 1):
+        store.append([m for m in _expand_slice(store[-1], J.n) if m not in inside])
+    return store[: upto + 1]
 
 
 def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[tuple[int, ...]]]:

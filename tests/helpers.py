@@ -14,15 +14,21 @@ from bisect import insort
 from math import prod
 
 from arevlex import (
+    DomainError,
     MonomialIdeal,
+    NoAlmostRevlexIdeal,
     Term,
     almost_revlex_ci,
+    ci_hilbert,
     colength,
     contains,
+    derivative,
     enumerate_terms,
     minimalize,
 )
-from arevlex.terms import raw_key
+from arevlex.hilbert import validate_degrees
+from arevlex.ideals import _expand_slice
+from arevlex.terms import raw_key, raw_min_var
 
 
 def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -264,6 +270,53 @@ def ci_degree_grid(max_vars: int, d_lo: int, d_hi: int, max_product: int):
         for degs in itertools.combinations_with_replacement(range(d_lo, d_hi + 1), n):
             if prod(degs) <= max_product:
                 yield degs
+
+
+def paper_lift_ci(n: int, degrees) -> MonomialIdeal:
+    """The almost revlex CI ideal by the paper's induction on the variables.
+
+    The partial ideal in i-1 variables is truncated at d_i, extended to i
+    variables, completed at degree d_i by the single largest missing term,
+    and then grown degree by degree, each time adjoining the greatest
+    -Delta^{s+1}H^[i](t) terms of the current first expansion, where
+    s = i - min(N_{t-1}) is read off the smallest variable of the staircase.
+    Raises AssertionError if a partial Hilbert value drifts from H^[i].
+    """
+    degrees = validate_degrees(degrees)
+    if len(degrees) != n:
+        raise DomainError(f"expected {n} degrees, got {len(degrees)}")
+    gens: list[tuple[int, ...]] = [(degrees[0],)]
+    d_top = sum(degrees) - n + 1
+    for i in range(2, n + 1):
+        d_i = degrees[i - 1]
+        d_next = degrees[i] if i < n else d_top
+        H = ci_hilbert(degrees[:i], i, d_next + 1)
+        # extend the ring by one (smaller) variable and rebuild the slices
+        gens = [g + (0,) for g in gens]
+        inside = set(gens)
+        cur = [(0,) * i]
+        for _ in range(d_i):
+            cur = [m for m in _expand_slice(cur, i) if m not in inside]
+        # single greatest term completes degree d_i
+        gens.append(cur[-1])
+        cur = cur[:-1]
+        for t in range(d_i + 1, d_next + 1):
+            if not cur:
+                break  # ideal already Artinian-complete; nothing outside to expand
+            s = i - min(raw_min_var(m) for m in cur)
+            exp = _expand_slice(cur, i)
+            h = -derivative(H, s + 1)(t)
+            if h < 0:
+                raise NoAlmostRevlexIdeal(t)
+            if h > len(exp):
+                raise DomainError(f"expansion at degree {t} too small for the table")
+            gens.extend(exp[len(exp) - h :])
+            cur = exp[: len(exp) - h]
+        # loop invariant: the partial ideal already has the right values
+        if len(cur) != H(d_next):
+            raise AssertionError("partial Hilbert value drifted")
+    gens.sort(key=raw_key)
+    return MonomialIdeal(n, tuple(Term(g) for g in gens))
 
 
 def tangent_check_ideals() -> list[MonomialIdeal]:

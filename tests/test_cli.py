@@ -82,6 +82,18 @@ def test_hilbert_bad_file(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "hilbert", "--ideal", str(path))
     assert code == 1 and "cannot read" in err
+    # a file that is not UTF-8 is unreadable too, not a decoding traceback
+    path.write_bytes(b"\xff\xfe{")
+    for cmd in ("hilbert", "tangent"):
+        code, out, err = run_cli(capsys, cmd, "--ideal", str(path))
+        assert code == 1 and out == "" and "cannot read ideal file" in err, cmd
+
+
+def test_tangent_dump_unwritable(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "tangent", "-d", "2,2,2", "--out", str(prefix))
+    assert code == 1 and out == ""
+    assert f"cannot write matrix dump {prefix}.matrix.txt" in err
 
 
 def test_tangent_text(capsys):

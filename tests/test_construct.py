@@ -27,7 +27,7 @@ from arevlex import (
     term,
 )
 
-from helpers import ci_degree_grid, curve_ideal
+from helpers import ci_degree_grid, curve_ideal, paper_lift_ci
 
 J344_GENS = [
     term(3, 0, 0),
@@ -61,6 +61,8 @@ def test_construction_golden_344():
 
 def test_construction_single_variable():
     assert almost_revlex_ci(1, (5,)).min_gens == (term(5,),)
+    assert almost_revlex_ci(1, (2,)).min_gens == (term(2,),)
+    assert almost_revlex_ci(1, (9,)).min_gens == (term(9,),)
 
 
 def test_construction_small_cube():
@@ -83,6 +85,11 @@ def test_greedy_from_table_equals_ci_route():
         n = len(degs)
         H = ci_hilbert(degs)
         assert almost_revlex_for(H) == almost_revlex_ci(n, degs)
+    # the production greedy against the paper's variable-by-variable lift
+    grid = list(ci_degree_grid(5, 2, 8, 5000))
+    assert len(grid) == 679
+    for degs in grid:
+        assert almost_revlex_ci(len(degs), degs) == paper_lift_ci(len(degs), degs), degs
 
 
 def test_greedy_failure_reports_degree():
