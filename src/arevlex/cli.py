@@ -34,7 +34,7 @@ def _load_ideal(path: str) -> i_mod.MonomialIdeal:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise AlgebraError(f"cannot read ideal file {path}: {exc}") from exc
     return i_mod.ideal_from_json(data)
 
@@ -248,9 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # building the parser costs a third of a small command, so it is built
+    # on the first call (not at import, to keep imports cheap) and reused
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except AlgebraError as exc:

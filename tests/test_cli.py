@@ -87,6 +87,14 @@ def test_hilbert_bad_file(tmp_path, capsys):
     for cmd in ("hilbert", "tangent"):
         code, out, err = run_cli(capsys, cmd, "--ideal", str(path))
         assert code == 1 and out == "" and "cannot read ideal file" in err, cmd
+    # an integer past the int-parsing digit limit, and nesting past the
+    # recursion limit, are unreadable too, not tracebacks
+    too_long = '{"vars": 1, "generators": [[' + "7" * 5000 + "]]}"
+    too_deep = "[" * 100_000 + "]" * 100_000
+    for text in (too_long, too_deep):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "2")
+        assert code == 1 and out == "" and "cannot read ideal file" in err
 
 
 def test_tangent_dump_unwritable(tmp_path, capsys):
@@ -237,6 +245,25 @@ def test_byte_determinism(capsys):
         _, out, _ = run_cli(capsys, "tangent", "-d", "2,2,3", "--format", "json")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    # one process, one parser: an argparse error, then --audit, then a call
+    # without it, which must print what a fresh process prints
+    with pytest.raises(SystemExit) as info:
+        main(["tangent", "-d", "2,2,2", "--no-such-option"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "tangent", "-d", "2,2,2", "--audit")
+    assert code == 0 and "audit: ok" in out
+    code, out, _ = run_cli(capsys, "tangent", "-d", "2,2,2")
+    assert code == 0 and "audit:" not in out
+    proc = subprocess.run(
+        [sys.executable, "-m", "arevlex", "tangent", "-d", "2,2,2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert out == proc.stdout
 
 
 def test_module_entry_point():

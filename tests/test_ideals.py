@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import time
 
 import pytest
 
@@ -39,7 +40,7 @@ from arevlex import (
     term,
     truncate_below,
 )
-from arevlex import ideals as ideals_module
+from arevlex import terms as terms_module
 from arevlex.ideals import _Divisors, _slices
 from arevlex.terms import raw_divides
 
@@ -105,10 +106,8 @@ def test_basis_checks_match_brute_force():
         expected = brute_minimal_basis(terms)
         J = minimalize(terms)
         assert J.min_gens == expected
-        # the index itself, filled in random order with multiples included
-        index = _Divisors(n)
-        for e in rng.sample(pool, len(pool)):
-            index.add(e)
+        # the index itself, built in random order with multiples included
+        index = _Divisors(rng.sample(pool, len(pool)))
         for m in enumerate_terms(n, rng.randint(0, 6)):
             assert contains(J, m) == any(g.divides(m) for g in expected)
             assert index.divides(m.exponents) == contains(J, m)
@@ -130,23 +129,47 @@ def test_basis_checks_match_brute_force():
 
 
 def test_basis_checks_make_no_pairwise_scan(monkeypatch):
-    # the basis check and minimalize answer divisibility from the trie;
-    # pairwise scans make 179k (construction) and 375k (minimalize)
-    # raw_divides calls on this basis
-    calls = 0
+    # the basis check and minimalize answer divisibility from the divisor
+    # index, one query per generator or candidate; pairwise scans make 179k
+    # (construction) and 375k (minimalize) divisibility tests on this basis
+    scans = queries = 0
 
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
+    def counting_divides(a, b):
+        nonlocal scans
+        scans += 1
         return raw_divides(a, b)
 
-    monkeypatch.setattr(ideals_module, "raw_divides", counting)
+    below = _Divisors.below
+
+    def counting_below(self, e):
+        nonlocal queries
+        queries += 1
+        return below(self, e)
+
+    monkeypatch.setattr(terms_module, "raw_divides", counting_divides)
+    monkeypatch.setattr(_Divisors, "below", counting_below)
     J = almost_revlex_ci(5, (5, 5, 5, 5, 8))
     assert len(J.min_gens) == 627
-    assert calls < len(J.min_gens)
-    calls = 0
+    assert scans < len(J.min_gens)
+    assert queries == len(J.min_gens)
+    scans = queries = 0
+    # one query per candidate, then one per generator of the built ideal
     assert minimalize(list(J.min_gens)) == J
-    assert calls < len(J.min_gens)
+    assert scans < len(J.min_gens)
+    assert queries == 2 * len(J.min_gens)
+
+
+def test_huge_exponents_stay_fast():
+    # the index is keyed by the distinct exponents, never by their range
+    start = time.perf_counter()
+    for n in (2, 3):
+        gens = [Term((10**9,) + (0,) * (n - 1)), Term((0, 10**9) + (0,) * (n - 2))]
+        J = minimalize(gens)
+        assert MonomialIdeal(n, J.min_gens) == J
+        assert contains(J, Term((10**9, 1) + (0,) * (n - 2)))
+        assert not contains(J, Term((10**9 - 1, 10**9 - 1) + (0,) * (n - 2)))
+        assert is_quasi_stable(J)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ideal_needs_a_variable():
