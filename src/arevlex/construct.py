@@ -27,7 +27,7 @@ from .hilbert import (
     varrho,
 )
 from .ideals import MonomialIdeal, _expand_slice, is_almost_revlex
-from .terms import Term, raw_key
+from .terms import Term
 
 
 def greatest(terms: list[Term], h: int) -> list[Term]:
@@ -55,9 +55,10 @@ def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
         keep = H(t)
         if keep > len(exp):
             raise NoAlmostRevlexIdeal(t)
+        # each block is increasing and of a higher degree than the last, so
+        # gens stays sorted without a sort
         gens.extend(exp[keep:])
         cur = exp[:keep]
-    gens.sort(key=raw_key)
     return MonomialIdeal(n, tuple(Term(g) for g in gens))
 
 

@@ -50,6 +50,49 @@ def brute_sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
             if not any(g.divides(m) for g in J.min_gens)]
 
 
+def hom_dim(J: MonomialIdeal) -> int:
+    """dim_K Hom_R(J, R/J) of an Artinian monomial J, one multidegree at a time.
+
+    A homomorphism of multidegree a sends each generator g to c_g x^(g+a),
+    which vanishes unless g+a lies in N(J): those generators are live, and
+    every nonzero piece has a = beta - g for some beta in N(J).  The syzygy
+    of g and h forces c_g = c_h when lcm(g, h)+a lies in N(J), a side that
+    is not live counting as zero.  The piece's dimension is the number of
+    classes of live generators that these equalities keep apart from zero.
+    N(J) is read off :func:`brute_sous_escalier` only.
+    """
+    if not J.is_artinian:
+        raise DomainError("Hom dimension needs an Artinian ideal")
+    sous = set()
+    for t in itertools.count():
+        slice_t = brute_sous_escalier(J, t)
+        if not slice_t:
+            break
+        sous.update(m.exponents for m in slice_t)
+    gens = [g.exponents for g in J.min_gens]
+    live: dict[tuple[int, ...], list[int]] = {}
+    for beta in sous:
+        for k, g in enumerate(gens):
+            live.setdefault(tuple(b - x for b, x in zip(beta, g)), []).append(k)
+    zero = len(gens)
+    total = 0
+    for a, ks in live.items():
+        parent = list(range(zero + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for k in ks:
+            for h, g in enumerate(gens):
+                lcm_a = tuple(max(x, y) + z for x, y, z in zip(gens[k], g, a))
+                if h != k and lcm_a in sous:
+                    parent[find(k)] = find(h if h in ks else zero)
+        total += len({find(k) for k in ks} - {find(zero)})
+    return total
+
+
 def brute_is_almost_revlex(J: MonomialIdeal) -> bool:
     for g in J.min_gens:
         for m in enumerate_terms(J.n, g.degree):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from arevlex import ideal_to_json, minimalize, term
 from arevlex.cli import main
 
 from helpers import CURVE_GENS
+
+# fresh interpreters import this checkout's arevlex, installed or not
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +265,7 @@ def test_parser_reuse_keeps_calls_independent(capsys):
     assert code == 0 and "audit:" not in out
     proc = subprocess.run(
         [sys.executable, "-m", "arevlex", "tangent", "-d", "2,2,2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert out == proc.stdout
@@ -269,7 +274,7 @@ def test_parser_reuse_keeps_calls_independent(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "arevlex", "hilbert", "-d", "2", "--upto", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1,1,0,0"
@@ -277,11 +282,9 @@ def test_module_entry_point():
 
 def test_byte_determinism_across_processes():
     # identical invocations in fresh interpreters with different hash seeds
-    import os
-
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(SUBPROCESS_ENV, PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "arevlex", "tangent", "-d", "2,2,3",
              "--format", "json"],
@@ -312,7 +315,7 @@ def test_verify_under_optimize_flag():
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "arevlex", "verify", "-d", "3,4,4"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

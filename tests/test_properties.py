@@ -1,8 +1,10 @@
-"""Property tests of minimal bases and the divisor index against brute force."""
+"""Property tests of minimal bases, the divisor index, the first expansion and
+the almost revlex construction against brute force and the paper's lift."""
 
 from __future__ import annotations
 
 import ast
+from math import prod
 
 import pytest
 
@@ -10,15 +12,16 @@ from arevlex import (
     DomainError,
     MonomialIdeal,
     Term,
+    almost_revlex_ci,
     ideal_from_json,
     ideal_to_json,
     minimalize,
     term_from_text,
 )
-from arevlex.ideals import _Divisors
-from arevlex.terms import raw_divides
+from arevlex.ideals import _Divisors, _expand_slice
+from arevlex.terms import raw_divides, raw_key
 
-from helpers import brute_minimal_basis
+from helpers import brute_minimal_basis, paper_lift_ci
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -89,3 +92,49 @@ def test_ideal_json_and_term_text_round_trips(case):
     assert ideal_from_json(ideal_to_json(J)) == J
     for e in raw:
         assert term_from_text(str(Term(e)), n) == Term(e)
+
+
+@st.composite
+def same_degree_lists(draw):
+    """Increasing lists of distinct terms of one degree, the constant included."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, 4))
+    parts = st.lists(st.integers(0, n - 1), min_size=t, max_size=t)
+    raw = {tuple(p.count(i) for i in range(n)) for p in draw(st.lists(parts, max_size=12))}
+    return n, sorted(raw, key=raw_key)
+
+
+@PROFILE
+@given(same_degree_lists())
+def test_first_expansion_is_every_product_by_a_variable_at_or_below_min(case):
+    n, slice_t = case
+    brute = set()
+    for tau in slice_t:
+        low = max((i + 1 for i in range(n) if tau[i]), default=1)
+        for v in range(low, n + 1):
+            brute.add(tuple(x + (i == v - 1) for i, x in enumerate(tau)))
+    assert _expand_slice(slice_t, n) == sorted(brute, key=raw_key)
+
+
+@st.composite
+def degree_lists_beyond_grid(draw):
+    """Non-decreasing degree lists, n <= 7, 2 <= d <= 12, product <= 20,000,
+    outside the grid n <= 5, d <= 8, product <= 5000 that Tier-1 covers."""
+    n = draw(st.integers(1, 7))
+    degrees = []
+    for k in range(n):
+        lo = degrees[-1] if degrees else 2
+        # the rest of the list must still fit under the product bound
+        hi = lo
+        while hi < 12 and prod(degrees) * (hi + 1) ** (n - k) <= 20_000:
+            hi += 1
+        degrees.append(draw(st.integers(lo, hi)))
+    hypothesis.assume(n > 5 or degrees[-1] > 8 or prod(degrees) > 5000)
+    return tuple(degrees)
+
+
+@settings(PROFILE, max_examples=25)
+@given(degree_lists_beyond_grid())
+def test_greedy_equals_paper_lift_beyond_grid(degrees):
+    n = len(degrees)
+    assert almost_revlex_ci(n, degrees) == paper_lift_ci(n, degrees)

@@ -37,6 +37,8 @@ from arevlex.terms import raw_key, raw_min_var
 
 from helpers import (
     artinian_stable_ideals,
+    ci_degree_grid,
+    hom_dim,
     random_strongly_stable,
     tangent_check_ideals,
     untruncated_mul_param,
@@ -446,3 +448,18 @@ def test_report_json_shape():
     v = classify_ci((5, 5, 5)).to_json()
     assert set(v) == {"verdict", "certificate"}
     assert set(v["certificate"]) == {"criterion", "witness"}
+
+
+def test_tangent_dim_equals_hom_dimension():
+    # at an Artinian stable J the marked scheme is open in the Hilbert
+    # scheme, so both tangent spaces are Hom_R(J, R/J)
+    ideals = list(artinian_stable_ideals(3, 12))
+    assert len(ideals) == 266
+    grid = list(ci_degree_grid(4, 2, 4, 60))
+    assert len(grid) == 24
+    ideals += [almost_revlex_ci(len(d), d) for d in grid]
+    rng = random.Random(7707)
+    ideals += [random_strongly_stable(rng, rng.randint(2, 4), rng.randint(3, 6), extras=3)
+               for _ in range(20)]
+    for J in ideals:
+        assert tangent_dim(J).tangent_dim == hom_dim(J), J
