@@ -1,21 +1,24 @@
 """Full symbolic reduction of marked polynomials; audit oracle for the tangent rows.
 
 This module re-derives the tangent-space equations by rewriting: each
-x_j * f_gamma is rewritten by the head decompositions until its support
-lies outside J.  Unlike :mod:`arevlex.tangent`, it does not decide up front
-which products land back inside J; it follows every rewrite.  The degree-one
-slice of every remainder coefficient must span the same row space as the
-direct linearization; the acceptance suite checks that on every small
-Artinian stable ideal.
+x_j * f_gamma is rewritten by the head decompositions until no term
+inside J has a constant coefficient.  Unlike :mod:`arevlex.tangent`, it
+does not decide up front which products land back inside J; the
+rewriting loop finds them.  The degree-one slice of every remainder
+coefficient must span the same row space as the direct linearization;
+the acceptance suite checks that on every small Artinian stable ideal.
 
 Coefficients live in Z[C]/(C)^2, not in Z[C].  Every rewrite multiplies a
 coefficient by one parameter, and the quotient map Z[C] -> Z[C]/(C)^2 is a
 ring homomorphism, so reducing every coefficient modulo (C)^2 at each step
 yields exactly the constant and degree-one parts of the untruncated
 remainder.  Those are the only parts read: the constant part by the
-flatness check, the degree-one part by :func:`oracle_rows`.  The result is
-exact, not an approximation; the test suite keeps the untruncated product
-as a reference on a fixed subset.
+flatness check, the degree-one part by :func:`oracle_rows`.  Modulo (C)^2
+a rewrite of a term c * x^tau adds only c's constant times one parameter
+per tail term, so a term inside J whose coefficient has no constant adds
+nothing when rewritten: the loop drops it instead.  The result is exact,
+not an approximation; the test suite keeps an untruncated reduction as a
+reference on a fixed subset.
 
 A coefficient is a dict mapping ``()`` (the constant) or ``(pid,)`` (the
 parameter with that id) to a nonzero integer.
@@ -45,20 +48,19 @@ def _add_term(poly: CPoly, mono: tuple[int, ...], coeff: int):
         poly.pop(mono, None)
 
 
-def _mul_param(poly: CPoly, pid: int, sign: int) -> CPoly:
-    """sign * C[pid] * poly modulo (C)^2: only the constant term survives."""
-    c = poly.get((), 0)
-    return {(pid,): sign * c} if c else {}
-
-
 def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
     """Remainder of x_j * f_{gens[gi]} as {x-monomial: coefficient mod (C)^2}.
 
     Each coefficient holds the constant and degree-one parts of the
-    untruncated remainder's coefficient, keyed ``()`` and ``(pid,)``.  The
-    rewriting loop always eliminates the degrevlex-greatest monomial
-    still inside J, which makes the run deterministic; the remainder itself
-    is unique whatever the strategy.
+    untruncated remainder's coefficient, keyed ``()`` and ``(pid,)``.  Only
+    a term inside J whose coefficient has a constant c0 is rewritten: it
+    becomes -c0 * C[alpha, b] at delta * b for each b in N(J), where
+    x^alpha * x^delta is its head decomposition.  Rewriting the degree-one
+    part of a coefficient gives terms in (C)^2, which are zero, so every
+    term still inside J when no constant is left drops out of the
+    remainder.  The loop always rewrites the degrevlex-greatest such term,
+    which makes the run deterministic; the remainder itself is unique
+    whatever the strategy.
     """
     gens = J._raw
     if sous is None:
@@ -78,20 +80,17 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
         _add_term(poly.setdefault(raw_mul(xj, b), {}), (col[(gi, b)],), 1)
 
     while True:
-        inside = [m for m, c in poly.items() if c and m not in sset]
-        if not inside:
+        heads = [m for m, c in poly.items() if () in c and m not in sset]
+        if not heads:
             break
-        target = max(inside, key=raw_key)
-        coeff = poly.pop(target)
+        target = max(heads, key=raw_key)
+        c0 = poly.pop(target)[()]
         alpha, delta = _pommaret_raw(J, target)
         ai = gidx[alpha]
-        # subtract coeff * x^delta * f_alpha; the head cancels target exactly
+        # subtract c0 * x^delta * f_alpha; the head cancels target exactly
         for b in sous:
-            m = raw_mul(delta, b)
-            dest = poly.setdefault(m, {})
-            for mono, c in _mul_param(coeff, col[(ai, b)], -1).items():
-                _add_term(dest, mono, c)
-    remainder = {m: c for m, c in poly.items() if c}
+            _add_term(poly.setdefault(raw_mul(delta, b), {}), (col[(ai, b)],), -c0)
+    remainder = {m: c for m, c in poly.items() if c and m in sset}
     for c in remainder.values():
         if () in c:
             raise DomainError("remainder has a constant coefficient; not a flat point")

@@ -12,8 +12,8 @@ part of its coefficients is assembled here directly:
 
 Coefficients that land back inside J only contribute at quadratic order
 and are dropped; :mod:`arevlex.marked_reduction` re-derives the same rows
-by following every rewrite modulo (C)^2, and the test suite checks that
-reduction against the untruncated polynomial one.
+by rewriting modulo (C)^2, and the test suite checks that reduction
+against the untruncated polynomial one.
 
 Every equation therefore has at most two entries, +1 and -1.  The equation
 on a monomial m gets its +C term from at most one beta, because

@@ -27,8 +27,9 @@ from arevlex import (
     minimalize,
 )
 from arevlex.hilbert import validate_degrees
-from arevlex.ideals import _expand_slice
-from arevlex.terms import raw_key, raw_min_var
+from arevlex.ideals import _expand_slice, _pommaret_raw
+from arevlex.tangent import _full_sous_raw
+from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
 
 
 def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -195,17 +196,63 @@ def random_artinian_ideal(rng, n: int, max_power: int = 5) -> MonomialIdeal:
 
 
 def untruncated_mul_param(poly: dict, pid: int, sign: int) -> dict:
-    """sign * C[pid] * poly in Z[C], keys being sorted tuples of parameter ids.
-
-    The untruncated product that ``marked_reduction._mul_param`` computes
-    modulo (C)^2; patched in, it makes ``full_reduce`` carry every monomial.
-    """
+    """sign * C[pid] * poly in Z[C], keys being sorted tuples of parameter ids."""
     out = {}
     for mono, c in poly.items():
         lst = list(mono)
         insort(lst, pid)
         out[tuple(lst)] = sign * c
     return out
+
+
+def untruncated_oracle_rows(J: MonomialIdeal):
+    """The rows of ``marked_reduction.oracle_rows``, reducing in Z[C] itself.
+
+    Every x_j * f_g is rewritten until its whole support lies in N(J), each
+    rewrite carrying the full coefficient, of any degree in the parameters,
+    times one parameter.  The degree-one slices of the remainder
+    coefficients, in increasing degrevlex order of their monomials, are the
+    rows.  Nothing is truncated, so this is the reference for the reduction
+    modulo (C)^2; its cost limits it to small ideals.
+    """
+    gens = J._raw
+    sous = _full_sous_raw(J)
+    sset = set(sous)
+    col = {(a, b): i for i, (a, b) in enumerate(
+        (a, b) for a in range(len(gens)) for b in sous)}
+    gidx = {g: i for i, g in enumerate(gens)}
+
+    def add(poly, m, coeff):
+        dest = poly.setdefault(m, {})
+        for mono, c in coeff.items():
+            c += dest.get(mono, 0)
+            if c:
+                dest[mono] = c
+            else:
+                dest.pop(mono, None)
+
+    rows = []
+    for gi, g in enumerate(gens):
+        for j in range(1, raw_min_var(g)):
+            xj = raw_var(J.n, j)
+            poly = {raw_mul(xj, g): {(): 1}}
+            for b in sous:
+                add(poly, raw_mul(xj, b), {(col[(gi, b)],): 1})
+            while True:
+                inside = [m for m, c in poly.items() if c and m not in sset]
+                if not inside:
+                    break
+                target = max(inside, key=raw_key)
+                coeff = poly.pop(target)
+                alpha, delta = _pommaret_raw(J, target)
+                for b in sous:
+                    add(poly, raw_mul(delta, b),
+                        untruncated_mul_param(coeff, col[(gidx[alpha], b)], -1))
+            for m in sorted(poly, key=raw_key):
+                lin = {mono[0]: c for mono, c in poly[m].items() if len(mono) == 1}
+                if lin:
+                    rows.append(lin)
+    return rows, len(col)
 
 
 def brute_pommaret_candidates(J: MonomialIdeal, tau: Term):

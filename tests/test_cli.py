@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from arevlex import ideal_to_json, minimalize, term
-from arevlex.cli import main
+from arevlex.cli import AUDIT_MAX_EQUATIONS, main
 
 from helpers import CURVE_GENS
 
@@ -190,10 +190,18 @@ def test_hilbert_rejects_negative_upto(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "1"
 
 
+@pytest.mark.parametrize("degrees", ["3,4,4", "4,4,4,4"])
+def test_tangent_audit_runs_within_budget(capsys, degrees):
+    code, out, _ = run_cli(capsys, "tangent", "-d", degrees, "--audit")
+    assert code == 0
+    assert out.splitlines()[-1] == "audit: ok"
+
+
 def test_tangent_audit_skip_note(capsys):
-    code, out, _ = run_cli(capsys, "tangent", "-d", "3,4,4", "--audit")
+    code, out, _ = run_cli(capsys, "tangent", "-d", "3,3,3,3,3,3", "--audit")
     assert code == 0
     assert "audit: skipped" in out
+    assert f"(439981 equations, audit limit {AUDIT_MAX_EQUATIONS})" in out
 
 
 def test_tangent_from_ideal_file(tmp_path, capsys):

@@ -41,7 +41,7 @@ from helpers import (
     hom_dim,
     random_strongly_stable,
     tangent_check_ideals,
-    untruncated_mul_param,
+    untruncated_oracle_rows,
 )
 
 CI_POINTS = [(2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 4, 4), (2, 2, 2, 2), (2,) * 5]
@@ -195,19 +195,36 @@ def test_oracle_agreement_sample():
             assert audit_tangent(J)
 
 
-def test_oracle_modulo_parameter_square_matches_untruncated(monkeypatch):
+def test_oracle_modulo_parameter_square_matches_untruncated():
     # reducing modulo (C)^2 must give the same rows as carrying every
     # monomial in the parameters, on a fixed subset small enough to run
     # untruncated
     ideals = [*artinian_stable_ideals(3, 12)[:60], almost_revlex_ci(3, (2, 2, 2))]
-    truncated = [marked_reduction.oracle_rows(J) for J in ideals]
     for J in ideals:
         for gi, g in enumerate(J._raw):
             for j in range(1, raw_min_var(g)):
                 for coeff in marked_reduction.full_reduce(J, gi, j).values():
                     assert all(len(mono) <= 1 for mono in coeff), (J, gi, j)
-    monkeypatch.setattr(marked_reduction, "_mul_param", untruncated_mul_param)
-    assert [marked_reduction.oracle_rows(J) for J in ideals] == truncated
+        assert marked_reduction.oracle_rows(J) == untruncated_oracle_rows(J), J
+
+
+def test_oracle_rewrites_once_per_block(monkeypatch):
+    # modulo (C)^2 only x_j * x^gamma carries a constant, so each (gamma, j)
+    # block needs exactly one head decomposition
+    calls = 0
+    head = marked_reduction._pommaret_raw
+
+    def counted(J, e):
+        nonlocal calls
+        calls += 1
+        return head(J, e)
+
+    monkeypatch.setattr(marked_reduction, "_pommaret_raw", counted)
+    blocks = 0
+    for J in artinian_stable_ideals(3, 12):
+        marked_reduction.oracle_rows(J)
+        blocks += sum(raw_min_var(g) - 1 for g in J._raw)
+    assert calls == blocks
 
 
 def test_rank_pivot_and_permutation_independence():
@@ -463,3 +480,40 @@ def test_tangent_dim_equals_hom_dimension():
                for _ in range(20)]
     for J in ideals:
         assert tangent_dim(J).tangent_dim == hom_dim(J), J
+
+
+# -- facts about the Hilbert scheme at monomial points -------------------------
+
+
+@pytest.fixture(scope="module")
+def hilbert_scheme_points(kernel_check_ideals):
+    """(n, D, T) at the points of the seeded pools: every small stable ideal,
+    the kernel set, strongly stable ideals up to n = 5 and CI points with
+    n = 5."""
+    ideals = [*artinian_stable_ideals(3, 12), *kernel_check_ideals]
+    rng = random.Random(5150)
+    ideals += [random_strongly_stable(rng, rng.randint(2, 5), rng.randint(2, 4))
+               for _ in range(40)]
+    ideals += [almost_revlex_ci(5, d) for d in ci_degree_grid(5, 2, 3, 100) if len(d) == 5]
+    return [(J.n, colength(J), tangent_dim(J).tangent_dim) for J in ideals]
+
+
+def test_plane_points_are_smooth_of_dimension_two_d(hilbert_scheme_points):
+    # Fogarty: Hilb^D(A^2) is smooth and irreducible of dimension 2D
+    plane = [(D, T) for n, D, T in hilbert_scheme_points if n == 2]
+    assert len(plane) > 100
+    assert all(T == 2 * D for D, T in plane)
+
+
+def test_space_points_have_the_parity_of_the_colength(hilbert_scheme_points):
+    # parity theorem for monomial ideals in A^3 (Maulik, Nekrasov, Okounkov,
+    # Pandharipande); it fails for n = 4, so it is checked for n = 3 only
+    space = [(D, T) for n, D, T in hilbert_scheme_points if n == 3]
+    assert len(space) > 300
+    assert all((T - D) % 2 == 0 for D, T in space)
+
+
+def test_tangent_dimension_at_least_main_component(hilbert_scheme_points):
+    # every Artinian monomial ideal is smoothable (distraction), so it lies
+    # on the main component, of dimension nD
+    assert all(T >= n * D for n, D, T in hilbert_scheme_points)
