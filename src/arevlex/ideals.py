@@ -18,27 +18,39 @@ Membership has two routes, each the only one for its inputs:
   quasi-stability predicate.
 * ``MonomialIdeal._head`` walks down from the term by its smallest variable
   until it meets B_J; for a stable J this finds the head alpha of the
-  unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau) set
-  lookups, or shows tau is outside J.  It serves everything that requires
-  stability: the stability and strong stability predicates, the head
-  decomposition and, through it, the tangent equations and the marked
-  reduction.  It stays because the index is slower at these jobs: on the
-  679 almost revlex bases of the CI grid (n <= 5, 2 <= d <= 8, prod d <=
-  5000), the stable predicate takes 0.96 s through the index against 0.69
-  s by head walk (best of three, 2-core VM).
+  unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau)
+  lookups in the generator index, or shows tau is outside J.  It serves
+  everything that requires stability: the stability and strong stability
+  predicates, the head decomposition and, through it, the tangent
+  equations and the marked reduction.  It stays because the decomposition
+  needs the head itself and the index is no faster at the predicates: on
+  the 679 almost revlex bases of the CI grid (n <= 5, 2 <= d <= 8, prod d
+  <= 5000), the stable predicate takes 0.65 s by head walk against 0.73 s
+  through the index (median of five runs, each the best of nine passes
+  over fresh copies of the bases; 2-core shared VM, Python 3.11.7,
+  measured 2026-10-19; the head walk was faster in every run).
 
 The staircase N(J) of every monomial ideal comes from one recursion,
 N(J)_{t+1} = E(N(J)_t) \\ J (``_slices``): N(J) is an order ideal, so a
 term of degree t+1 outside J has its cofactor m/x_{min(m)} in N(J)_t.  For a
-stable J only B_J meets the expansion, and a set lookup in B_J decides
-(the grid's slices through the top generator degree take 1.01 s so, against
-2.68 s through the index, measured as above); any other J asks
-``_Divisors``.  The expansion itself needs no membership test: block v,
-x_v times the terms whose smallest variable is x_v or above, multiplies a
-suffix of the sorted slice (``_expand_slice``).  :func:`sous_escalier`,
-:func:`colength` and the Hilbert function of a quotient read it.  The construction runs the same expansion,
+stable J only B_J meets the expansion, and a lookup in the generator index
+decides (the grid's slices through the top generator degree take 0.55 s
+so, against 2.00 s through ``_Divisors``, measured as above); any other J
+asks ``_Divisors``.  The expansion itself needs no membership test: block
+v, x_v times the terms whose smallest variable is x_v or above, multiplies
+a suffix of the sorted slice (``_expand_slice``).  :func:`sous_escalier`
+and the Hilbert function of a quotient read the slices.  The construction runs the same expansion,
 keeping a prescribed number of the smallest terms per degree instead of
 filtering by J.
+
+Two positional indexes are built once per ideal, on first use, and
+cached.  ``_gen_index`` maps each generator to its place in B_J; it is also
+the set that the head walk and the stable staircase look terms up in.
+``_staircase``, for an Artinian J only, maps each term of N(J) to its
+place in degree-major increasing degrevlex order, read from the slices
+through the first empty one, which may lie past the top generator degree
+when J is not stable; its length is :func:`colength`.  The tangent kernel
+and the audit oracle take their parameter columns from these two.
 """
 
 from __future__ import annotations
@@ -165,8 +177,16 @@ class MonomialIdeal:
         return True
 
     @cached_property
-    def _gen_set(self) -> frozenset:
-        return frozenset(self._raw)
+    def _gen_index(self) -> dict[tuple[int, ...], int]:
+        """{generator: its position in B_J}; also the membership set of B_J."""
+        return dict(zip(self._raw, range(len(self._raw))))
+
+    @cached_property
+    def _staircase(self) -> dict[tuple[int, ...], int]:
+        """{m: its position in N(J)}, degree-major increasing degrevlex, for Artinian J."""
+        if not self.is_artinian:
+            raise DomainError("the staircase index requires an Artinian ideal")
+        return {m: i for i, m in enumerate(m for sl in _socle_slices(self, 0) for m in sl)}
 
     def _head(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
         """The head alpha in B_J of e in a stable J, or None when e is not in J.
@@ -176,7 +196,7 @@ class MonomialIdeal:
         divides delta, so dividing it out keeps the term in J with the same
         head; a term outside J never meets B_J and runs out of variables.
         """
-        gens = self._gen_set
+        gens = self._gen_index
         cur = list(e)
         k = len(cur) - 1
         while True:
@@ -322,8 +342,8 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
     store = J.__dict__.get("_slice_store")
     if store is None:
         zero = (0,) * J.n
-        store = J.__dict__["_slice_store"] = [[] if zero in J._gen_set else [zero]]
-    inside = J._gen_set if J._stable else J._divisors
+        store = J.__dict__["_slice_store"] = [[] if zero in J._gen_index else [zero]]
+    inside = J._gen_index if J._stable else J._divisors
     for _ in range(len(store), upto + 1):
         store.append([m for m in _expand_slice(store[-1], J.n) if m not in inside])
     return store[: upto + 1]
@@ -503,9 +523,7 @@ def regularity(J: MonomialIdeal) -> int:
 
 def colength(J: MonomialIdeal) -> int:
     """|N(J)| = sum of the Hilbert function, for Artinian J."""
-    if not J.is_artinian:
-        raise DomainError("colength requires an Artinian ideal")
-    return sum(len(s) for s in _socle_slices(J, 0))
+    return len(J._staircase)
 
 
 def border_generator_count(J: MonomialIdeal) -> int:

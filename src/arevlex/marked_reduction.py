@@ -21,20 +21,19 @@ not an approximation; the test suite keeps an untruncated reduction as a
 reference on a fixed subset.
 
 A coefficient is a dict mapping ``()`` (the constant) or ``(pid,)`` (the
-parameter with that id) to a nonzero integer.
+parameter with that id) to a nonzero integer.  The id of C[gens[a], b] is
+a*D + pos[b], the column of :mod:`arevlex.tangent`: a comes from the
+ideal's generator index ``_gen_index`` and pos from its staircase index
+``_staircase``, both built once per ideal, so the oracle keeps no column
+table of its own.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .ideals import MonomialIdeal, _pommaret_raw
+from .ideals import MonomialIdeal, _pommaret_raw, colength
 from .linalg import row_space_equal
-from .tangent import (
-    _full_sous_raw,
-    _linear_rows,
-    _require_artinian_stable,
-    rank_agrees_with_elimination,
-)
+from .tangent import _linear_rows, _require_artinian_stable, rank_agrees_with_elimination
 from .terms import raw_key, raw_min_var, raw_mul, raw_var
 
 CPoly = dict  # () or (pid,) -> int
@@ -48,7 +47,7 @@ def _add_term(poly: CPoly, mono: tuple[int, ...], coeff: int):
         poly.pop(mono, None)
 
 
-def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
+def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     """Remainder of x_j * f_{gens[gi]} as {x-monomial: coefficient mod (C)^2}.
 
     Each coefficient holds the constant and degree-one parts of the
@@ -60,37 +59,30 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
     term still inside J when no constant is left drops out of the
     remainder.  The loop always rewrites the degrevlex-greatest such term,
     which makes the run deterministic; the remainder itself is unique
-    whatever the strategy.
+    whatever the strategy.  The parameter C[gens[a], b] has id a*D + (the
+    position of b in N(J)), read from the ideal's staircase index.
     """
-    gens = J._raw
-    if sous is None:
-        _require_artinian_stable(J)
-        sous = _full_sous_raw(J)
-    sset = set(sous)
-    if col is None:
-        col = {(a, b): i for i, (a, b) in enumerate(
-            (a, b) for a in range(len(gens)) for b in sous
-        )}
-    gidx = {g: i for i, g in enumerate(gens)}
-    g = gens[gi]
+    _require_artinian_stable(J)
+    pos = J._staircase
+    D = len(pos)
     xj = raw_var(J.n, j)
 
-    poly: dict[tuple[int, ...], CPoly] = {raw_mul(xj, g): {(): 1}}
-    for b in sous:
-        _add_term(poly.setdefault(raw_mul(xj, b), {}), (col[(gi, b)],), 1)
+    poly: dict[tuple[int, ...], CPoly] = {raw_mul(xj, J._raw[gi]): {(): 1}}
+    for b, i in pos.items():
+        _add_term(poly.setdefault(raw_mul(xj, b), {}), (gi * D + i,), 1)
 
     while True:
-        heads = [m for m, c in poly.items() if () in c and m not in sset]
+        heads = [m for m, c in poly.items() if () in c and m not in pos]
         if not heads:
             break
         target = max(heads, key=raw_key)
         c0 = poly.pop(target)[()]
         alpha, delta = _pommaret_raw(J, target)
-        ai = gidx[alpha]
+        base = J._gen_index[alpha] * D
         # subtract c0 * x^delta * f_alpha; the head cancels target exactly
-        for b in sous:
-            _add_term(poly.setdefault(raw_mul(delta, b), {}), (col[(ai, b)],), -c0)
-    remainder = {m: c for m, c in poly.items() if c and m in sset}
+        for b, i in pos.items():
+            _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -c0)
+    remainder = {m: c for m, c in poly.items() if c and m in pos}
     for c in remainder.values():
         if () in c:
             raise DomainError("remainder has a constant coefficient; not a flat point")
@@ -100,22 +92,15 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int, sous=None, col=None) -> dict:
 def oracle_rows(J: MonomialIdeal):
     """Degree-one slices of all remainder coefficients, as sparse rows."""
     _require_artinian_stable(J)
-    gens = J._raw
-    sous = _full_sous_raw(J)
-    col = {}
-    for a in range(len(gens)):
-        for b in sous:
-            col[(a, b)] = len(col)
     rows = []
-    for gi, g in enumerate(gens):
-        k = raw_min_var(g)
-        for j in range(1, k):
-            remainder = full_reduce(J, gi, j, sous, col)
+    for gi, g in enumerate(J._raw):
+        for j in range(1, raw_min_var(g)):
+            remainder = full_reduce(J, gi, j)
             for m in sorted(remainder, key=raw_key):
                 lin = {mono[0]: c for mono, c in remainder[m].items() if len(mono) == 1}
                 if lin:
                     rows.append(lin)
-    return rows, len(col)
+    return rows, len(J._raw) * colength(J)
 
 
 def audit_tangent(J: MonomialIdeal) -> bool:

@@ -28,9 +28,18 @@ count is exact, with no elimination and no fractions; fraction-free
 elimination (:mod:`arevlex.linalg`) stays as the oracle of the audit and
 the tests.
 
+The parameters are laid out generator-major, then N(J) in degree-major
+increasing degrevlex: C[gens[gi], beta] is column gi*D + pos[beta].  Both
+positions come from two indexes that a :class:`MonomialIdeal` builds once
+and caches, ``_gen_index`` (generator -> gi) and ``_staircase`` (term of
+N(J) -> pos, with D = colength(J) its length); this module and
+:mod:`arevlex.marked_reduction` read them and build no copies.
+
 The tangent dimension is the parameter count minus that rank; comparing it
 with n*D (the dimension of the component through the lexicographic point)
-certifies singularity.
+certifies singularity.  It is never below n*D, since every Artinian
+monomial ideal is smoothable; :func:`tangent_dim` raises AssertionError if
+it is, so an internal fault cannot pass for a smaller tangent space.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ from .hilbert import c_index, ci_hilbert, validate_degrees
 from .ideals import (
     MonomialIdeal,
     _pommaret_raw,
-    _slices,
     border_generator_count,
     colength,
     is_stable,
@@ -120,30 +128,27 @@ def _require_artinian_stable(J: MonomialIdeal):
 
 
 def _full_sous_raw(J: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All of N(J) for Artinian stable J, degree-major increasing degrevlex."""
-    out: list[tuple[int, ...]] = []
-    for sl in _slices(J, J.max_gen_degree()):
-        out.extend(sl)
-    return out
+    """All of N(J) for Artinian J, degree-major increasing degrevlex."""
+    return list(J._staircase)
 
 
 def parameters(J: MonomialIdeal) -> list[Parameter]:
     """The |B_J| x |N(J)| parameters, generator-major, then increasing on beta."""
     _require_artinian_stable(J)
-    betas = [Term(b) for b in _full_sous_raw(J)]
+    betas = [Term(b) for b in J._staircase]
     return [Parameter(alpha, beta) for alpha in J.min_gens for beta in betas]
 
 
-def _shift_maps(sous: list[tuple[int, ...]], n: int) -> list[list[int]]:
-    """div[v][i] = index of sous[i]/x_{v+1} in N(J), or -1 if x_{v+1} does not divide it.
+def _shift_maps(pos: dict[tuple[int, ...], int], n: int) -> list[list[int]]:
+    """div[v][i] = position of m/x_{v+1} in N(J) for the m at position i, or -1
+    if x_{v+1} does not divide m; ``pos`` is the staircase index.
 
     Each list carries one trailing -1, so indexing it with -1 yields -1 and
     maps compose without a guard.
     """
-    index = {m: i for i, m in enumerate(sous)}
     div = []
     for v in range(n):
-        dv = [index[m[:v] + (m[v] - 1,) + m[v + 1 :]] if m[v] else -1 for m in sous]
+        dv = [pos[m[:v] + (m[v] - 1,) + m[v + 1 :]] if m[v] else -1 for m in pos]
         dv.append(-1)
         div.append(dv)
     return div
@@ -156,7 +161,7 @@ def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
     and each m in N(J), the equation on m reads C[plus] - C[minus] = 0 with
     plus = (gi, m/x_j) and minus = (alpha', m/delta'), where
     x_j*gens[gi] = x^alpha' * x^delta' is the head decomposition.  Columns
-    are gi*D + (index of beta in N(J)); a side whose quotient is not a term
+    are gi*D + (position of beta in N(J)); a side whose quotient is not a term
     of N(J) is -1, and m gets no equation when both are.  N(J) is an order
     ideal, so m/delta' is in N(J) exactly when delta' divides m, and the
     map m -> m/delta' composes from the one-variable maps (cached per
@@ -169,11 +174,9 @@ def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
     """
     gens = J._raw
     n = J.n
-    sous = _full_sous_raw(J)
-    D = len(sous)
-    div = _shift_maps(sous, n)
+    D = colength(J)
+    div = _shift_maps(J._staircase, n)
     by_delta: dict[tuple[int, ...], list[int]] = {}
-    gidx = {g: i for i, g in enumerate(gens)}
     if block is None:
         blocks = [(gi, j) for gi, g in enumerate(gens) for j in range(1, raw_min_var(g))]
     else:
@@ -188,7 +191,7 @@ def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
                 for _ in range(e):
                     dd = [dv[i] for i in dd]
             by_delta[delta] = dd
-        plus0, minus0 = gi * D, gidx[alpha] * D
+        plus0, minus0 = gi * D, J._gen_index[alpha] * D
         yield from [
             (i, plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
             for i, p, q in zip(range(D), div[j - 1], dd)
@@ -232,7 +235,7 @@ def _linear_rows(J: MonomialIdeal):
     order of :func:`_equation_pairs`; each is {plus: 1, minus: -1} minus
     absent sides.
     """
-    D = len(_full_sous_raw(J))
+    D = colength(J)
     rows = []
     for _, p, q in _equation_pairs(J):
         row = {}
@@ -270,20 +273,26 @@ def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, Linea
 
 
 def tangent_dim(J: MonomialIdeal) -> TangentReport:
-    """Exact tangent-space dimension with the generator-count bound sandwich."""
-    _require_artinian_stable(J)
+    """Exact tangent-space dimension with the generator-count bound sandwich.
+
+    Every Artinian monomial ideal is smoothable, so its point lies on the
+    main component, of dimension n*D, and the tangent dimension is at least
+    n*D; a smaller count means the kernel is wrong and raises AssertionError.
+    """
+    lower, upper = tangent_bounds(J)
     rk, equations = _union_find_rank(J)
-    D = colength(J)
-    nb = len(J.min_gens)
-    nparams = nb * D
+    dim = upper - rk
+    lex = J.n * colength(J)
+    if dim < lex:
+        raise AssertionError(f"tangent dimension {dim} below n*D = {lex}")
     return TangentReport(
-        param_count=nparams,
+        param_count=upper,
         equation_count=equations,
         rank=rk,
-        tangent_dim=nparams - rk,
-        lower_bound=nb * border_generator_count(J),
-        upper_bound=nb * D,
-        lex_dim=J.n * D,
+        tangent_dim=dim,
+        lower_bound=lower,
+        upper_bound=upper,
+        lex_dim=lex,
     )
 
 
@@ -297,7 +306,8 @@ def rank_agrees_with_elimination(J: MonomialIdeal, rows) -> bool:
 
 
 def tangent_bounds(J: MonomialIdeal) -> tuple[int, int]:
-    """(|B_J| * border generators, |B_J| * colength)."""
+    """(|B_J| * border generators, |B_J| * colength); the upper bound is the
+    parameter count."""
     _require_artinian_stable(J)
     nb = len(J.min_gens)
     return nb * border_generator_count(J), nb * colength(J)

@@ -318,6 +318,50 @@ def test_source_has_no_bare_assert():
     assert not found, found
 
 
+def test_source_has_no_unused_import():
+    # a name a module imports but never reads is left over from a refactor;
+    # __init__.py only re-exports, so it is exempt
+    import ast
+    from pathlib import Path
+
+    import arevlex
+
+    found = []
+    for path in sorted(Path(arevlex.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert not found, found
+
+
+@pytest.mark.parametrize("command", ["tangent", "classify", "verify"])
+def test_tangent_below_main_component_is_an_invariant_failure(capsys, monkeypatch, command):
+    # T >= nD holds at every Artinian monomial point; an inflated rank breaks it
+    from arevlex import tangent as tangent_module
+
+    true_rank = tangent_module._union_find_rank
+
+    def inflated(J):
+        rank, equations = true_rank(J)
+        return rank + 13, equations
+
+    monkeypatch.setattr(tangent_module, "_union_find_rank", inflated)
+    code, _, err = run_cli(capsys, command, "-d", "2,2,2")
+    assert code == 2
+    assert "internal invariant failure" in err
+
+
 def test_verify_under_optimize_flag():
     outputs = []
     for flags in ([], ["-O"]):
