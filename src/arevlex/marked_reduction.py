@@ -1,24 +1,25 @@
 """Full symbolic reduction of marked polynomials; audit oracle for the tangent rows.
 
 This module re-derives the tangent-space equations by rewriting: each
-x_j * f_gamma is rewritten by the head decompositions until no term
-inside J has a constant coefficient.  Unlike :mod:`arevlex.tangent`, it
-does not decide up front which products land back inside J; the
-rewriting loop finds them.  The degree-one slice of every remainder
-coefficient must span the same row space as the direct linearization;
-the acceptance suite checks that on every small Artinian stable ideal.
+x_j * f_gamma is reduced by the head decomposition of its one term inside
+J.  Unlike :mod:`arevlex.tangent`, it builds the remainder as a polynomial
+and reads the equations off its coefficients instead of streaming column
+pairs.  The degree-one slices of the remainder coefficients, taken block by
+block in increasing degrevlex order of their monomials, are the very rows of
+the direct linearization, list for list; the test suite checks that on every
+small Artinian stable ideal, and the audit checks that they span the same row
+space.
 
 Coefficients live in Z[C]/(C)^2, not in Z[C].  Every rewrite multiplies a
 coefficient by one parameter, and the quotient map Z[C] -> Z[C]/(C)^2 is a
 ring homomorphism, so reducing every coefficient modulo (C)^2 at each step
 yields exactly the constant and degree-one parts of the untruncated
-remainder.  Those are the only parts read: the constant part by the
-flatness check, the degree-one part by :func:`oracle_rows`.  Modulo (C)^2
-a rewrite of a term c * x^tau adds only c's constant times one parameter
-per tail term, so a term inside J whose coefficient has no constant adds
-nothing when rewritten: the loop drops it instead.  The result is exact,
-not an approximation; the test suite keeps an untruncated reduction as a
-reference on a fixed subset.
+remainder; :func:`oracle_rows` reads the degree-one part.  Modulo (C)^2 only
+x_j * x^gamma carries a constant, and rewriting any other term inside J adds
+only terms in (C)^2, so one rewrite per block is the whole reduction.  The
+result is exact, not an approximation; the test suite keeps an untruncated
+reduction, which rewrites until the support leaves J, as a reference on a
+fixed subset.
 
 A coefficient is a dict mapping ``()`` (the constant) or ``(pid,)`` (the
 parameter with that id) to a nonzero integer.  The id of C[gens[a], b] is
@@ -33,8 +34,14 @@ from __future__ import annotations
 from .errors import DomainError
 from .ideals import MonomialIdeal, _pommaret_raw, colength
 from .linalg import row_space_equal
-from .tangent import _linear_rows, _require_artinian_stable, rank_agrees_with_elimination
-from .terms import raw_key, raw_min_var, raw_mul, raw_var
+from .tangent import (
+    LinearForm,
+    Parameter,
+    _linear_rows,
+    _require_artinian_stable,
+    rank_agrees_with_elimination,
+)
+from .terms import Term, raw_key, raw_min_var, raw_mul, raw_var
 
 CPoly = dict  # () or (pid,) -> int
 
@@ -50,43 +57,59 @@ def _add_term(poly: CPoly, mono: tuple[int, ...], coeff: int):
 def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     """Remainder of x_j * f_{gens[gi]} as {x-monomial: coefficient mod (C)^2}.
 
-    Each coefficient holds the constant and degree-one parts of the
-    untruncated remainder's coefficient, keyed ``()`` and ``(pid,)``.  Only
-    a term inside J whose coefficient has a constant c0 is rewritten: it
-    becomes -c0 * C[alpha, b] at delta * b for each b in N(J), where
-    x^alpha * x^delta is its head decomposition.  Rewriting the degree-one
-    part of a coefficient gives terms in (C)^2, which are zero, so every
-    term still inside J when no constant is left drops out of the
-    remainder.  The loop always rewrites the degrevlex-greatest such term,
-    which makes the run deterministic; the remainder itself is unique
-    whatever the strategy.  The parameter C[gens[a], b] has id a*D + (the
-    position of b in N(J)), read from the ideal's staircase index.
+    Each coefficient holds the degree-one part of the untruncated
+    remainder's coefficient, keyed ``(pid,)``; the constant part is zero.
+    x_j * f_gamma is x_j * x^gamma plus C[gamma, b] at x_j * b for each b in
+    N(J).  Its only term with a constant coefficient is x_j * x^gamma =
+    x^alpha * x^delta (the head decomposition), and rewriting it by
+    x^delta * f_alpha puts -C[alpha, b] at delta * b for each b in N(J).
+    Every term still inside J then has a coefficient in (C), and rewriting
+    it would only add terms in (C)^2, which are zero: so this one rewrite is
+    the whole reduction, and those terms drop out of the remainder.  The
+    parameter C[gens[a], b] has id a*D + (the position of b in N(J)), read
+    from the ideal's staircase index.  The block is a generator index gi
+    of B_J and a variable x_j with j below min(gens[gi]); any other block
+    raises DomainError.
     """
     _require_artinian_stable(J)
+    gens = J._raw
+    if not 0 <= gi < len(gens):
+        raise DomainError(f"generator index {gi} is not in 0..{len(gens) - 1}")
+    if not 1 <= j < raw_min_var(gens[gi]):
+        raise DomainError(f"x_{j} is not above min(gamma) = x_{raw_min_var(gens[gi])}")
     pos = J._staircase
     D = len(pos)
     xj = raw_var(J.n, j)
-
-    poly: dict[tuple[int, ...], CPoly] = {raw_mul(xj, J._raw[gi]): {(): 1}}
+    alpha, delta = _pommaret_raw(J, raw_mul(xj, gens[gi]))
+    poly: dict[tuple[int, ...], CPoly] = {}
     for b, i in pos.items():
         _add_term(poly.setdefault(raw_mul(xj, b), {}), (gi * D + i,), 1)
+    base = J._gen_index[alpha] * D
+    # subtract x^delta * f_alpha; its head cancels x_j * x^gamma exactly
+    for b, i in pos.items():
+        _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -1)
+    return {m: c for m, c in poly.items() if c and m in pos}
 
-    while True:
-        heads = [m for m, c in poly.items() if () in c and m not in pos]
-        if not heads:
-            break
-        target = max(heads, key=raw_key)
-        c0 = poly.pop(target)[()]
-        alpha, delta = _pommaret_raw(J, target)
-        base = J._gen_index[alpha] * D
-        # subtract c0 * x^delta * f_alpha; the head cancels target exactly
-        for b, i in pos.items():
-            _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -c0)
-    remainder = {m: c for m, c in poly.items() if c and m in pos}
-    for c in remainder.values():
-        if () in c:
-            raise DomainError("remainder has a constant coefficient; not a flat point")
-    return remainder
+
+def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, LinearForm]:
+    """Linear part of the remainder of x_j * f_gamma, one form per monomial.
+
+    The :class:`~arevlex.tangent.Parameter` rendering of :func:`full_reduce`:
+    keys in N(J) order, and in each form the +1 entry before the -1 entry.
+    """
+    _require_artinian_stable(J)
+    gens = J.min_gens
+    if gamma not in gens:
+        raise DomainError(f"{gamma} is not a minimal generator")
+    remainder = full_reduce(J, gens.index(gamma), j)
+    sous = [Term(b) for b in J._staircase]
+    D = len(sous)
+    return {
+        sous[i]: LinearForm(tuple(
+            (Parameter(gens[p // D], sous[p % D]), c) for (p,), c in remainder[b].items()))
+        for b, i in J._staircase.items()
+        if b in remainder
+    }
 
 
 def oracle_rows(J: MonomialIdeal):
@@ -96,20 +119,15 @@ def oracle_rows(J: MonomialIdeal):
     for gi, g in enumerate(J._raw):
         for j in range(1, raw_min_var(g)):
             remainder = full_reduce(J, gi, j)
-            for m in sorted(remainder, key=raw_key):
-                lin = {mono[0]: c for mono, c in remainder[m].items() if len(mono) == 1}
-                if lin:
-                    rows.append(lin)
+            rows += [{p: c for (p,), c in remainder[m].items()}
+                     for m in sorted(remainder, key=raw_key)]
     return rows, len(J._raw) * colength(J)
 
 
 def audit_tangent(J: MonomialIdeal) -> bool:
     """True iff the union-find rank matches elimination on the truncated
     linearization, and that linearization spans the oracle's row space."""
-    rows_fast, n_fast, _ = _linear_rows(J)
+    rows_fast, _, _ = _linear_rows(J)
     if not rank_agrees_with_elimination(J, rows_fast):
         return False
-    rows_full, n_full = oracle_rows(J)
-    if n_fast != n_full:
-        return False
-    return row_space_equal(rows_fast, rows_full)
+    return row_space_equal(rows_fast, oracle_rows(J)[0])

@@ -11,9 +11,11 @@ part of its coefficients is assembled here directly:
   where x_j*x^gamma = x^alpha' * x^delta' is the head decomposition.
 
 Coefficients that land back inside J only contribute at quadratic order
-and are dropped; :mod:`arevlex.marked_reduction` re-derives the same rows
-by rewriting modulo (C)^2, and the test suite checks that reduction
-against the untruncated polynomial one.
+and are dropped.  :mod:`arevlex.marked_reduction` re-derives the same rows,
+list for list, by one rewrite per block modulo (C)^2; it is also the home of
+:func:`~arevlex.marked_reduction.linearized_reduce`, the per-block view of
+these equations.  The test suite checks that reduction against the
+untruncated polynomial one.
 
 Every equation therefore has at most two entries, +1 and -1.  The equation
 on a monomial m gets its +C term from at most one beta, because
@@ -127,11 +129,6 @@ def _require_artinian_stable(J: MonomialIdeal):
         raise StabilityError("operation requires a stable ideal")
 
 
-def _full_sous_raw(J: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All of N(J) for Artinian J, degree-major increasing degrevlex."""
-    return list(J._staircase)
-
-
 def parameters(J: MonomialIdeal) -> list[Parameter]:
     """The |B_J| x |N(J)| parameters, generator-major, then increasing on beta."""
     _require_artinian_stable(J)
@@ -154,8 +151,8 @@ def _shift_maps(pos: dict[tuple[int, ...], int], n: int) -> list[list[int]]:
     return div
 
 
-def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
-    """Stream every linearized equation as (monomial index, plus, minus).
+def _equation_pairs(J: MonomialIdeal):
+    """Stream every linearized equation as a column pair (plus, minus).
 
     For the generator gens[gi], the variable x_j above its minimal variable
     and each m in N(J), the equation on m reads C[plus] - C[minus] = 0 with
@@ -169,18 +166,16 @@ def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
     that would need alpha' = gamma and delta' = x_j, but a head
     decomposition has max(delta') >= min(alpha') and j < min(gamma).
 
-    Order: generator-major, then variable, then m increasing degrevlex.
-    ``block`` = (gi, j) restricts the stream to one generator and variable.
+    Order: generator-major, then variable, then m increasing degrevlex, the
+    order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
+    same equations off its remainders.
     """
     gens = J._raw
     n = J.n
     D = colength(J)
     div = _shift_maps(J._staircase, n)
     by_delta: dict[tuple[int, ...], list[int]] = {}
-    if block is None:
-        blocks = [(gi, j) for gi, g in enumerate(gens) for j in range(1, raw_min_var(g))]
-    else:
-        blocks = [block]
+    blocks = [(gi, j) for gi, g in enumerate(gens) for j in range(1, raw_min_var(g))]
     for gi, j in blocks:
         alpha, delta = _pommaret_raw(J, raw_mul(raw_var(n, j), gens[gi]))
         dd = by_delta.get(delta)
@@ -193,8 +188,8 @@ def _equation_pairs(J: MonomialIdeal, block: tuple[int, int] | None = None):
             by_delta[delta] = dd
         plus0, minus0 = gi * D, J._gen_index[alpha] * D
         yield from [
-            (i, plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
-            for i, p, q in zip(range(D), div[j - 1], dd)
+            (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
+            for p, q in zip(div[j - 1], dd)
             if p >= 0 or q >= 0
         ]
 
@@ -209,7 +204,7 @@ def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     ground = len(J._raw) * colength(J)
     parent = list(range(ground + 1))
     merges = count = 0
-    for _, a, b in _equation_pairs(J):
+    for a, b in _equation_pairs(J):
         count += 1
         if a < 0:
             a = ground
@@ -237,7 +232,7 @@ def _linear_rows(J: MonomialIdeal):
     """
     D = colength(J)
     rows = []
-    for _, p, q in _equation_pairs(J):
+    for p, q in _equation_pairs(J):
         row = {}
         if p >= 0:
             row[p] = 1
@@ -245,31 +240,6 @@ def _linear_rows(J: MonomialIdeal):
             row[q] = -1
         rows.append(row)
     return rows, len(J._raw) * D, D
-
-
-def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, LinearForm]:
-    """Linear part of the remainder of x_j * f_gamma, one form per monomial."""
-    _require_artinian_stable(J)
-    if gamma not in J.min_gens:
-        raise DomainError(f"{gamma} is not a minimal generator")
-    if not 1 <= j <= J.n or j >= gamma.min_var():
-        raise DomainError(f"x_{j} is not above min(gamma) = x_{gamma.min_var()}")
-    gens = J.min_gens
-    sous = _full_sous_raw(J)
-    D = len(sous)
-
-    def param(c: int) -> Parameter:
-        return Parameter(gens[c // D], Term(sous[c % D]))
-
-    out: dict[Term, LinearForm] = {}
-    for i, p, q in _equation_pairs(J, (gens.index(gamma), j)):
-        entries = []
-        if p >= 0:
-            entries.append((param(p), 1))
-        if q >= 0:
-            entries.append((param(q), -1))
-        out[Term(sous[i])] = LinearForm(tuple(entries))
-    return out
 
 
 def tangent_dim(J: MonomialIdeal) -> TangentReport:

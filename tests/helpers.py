@@ -28,7 +28,6 @@ from arevlex import (
 )
 from arevlex.hilbert import validate_degrees
 from arevlex.ideals import _expand_slice, _pommaret_raw
-from arevlex.tangent import _full_sous_raw
 from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
 
 
@@ -216,7 +215,7 @@ def untruncated_oracle_rows(J: MonomialIdeal):
     modulo (C)^2; its cost limits it to small ideals.
     """
     gens = J._raw
-    sous = _full_sous_raw(J)
+    sous = list(J._staircase)
     sset = set(sous)
     col = {(a, b): i for i, (a, b) in enumerate(
         (a, b) for a in range(len(gens)) for b in sous)}

@@ -52,7 +52,7 @@ from arevlex import (
     varrho,
 )
 from arevlex.cli import main as cli_main
-from arevlex.tangent import _full_sous_raw, _linear_rows
+from arevlex.tangent import _linear_rows
 
 from helpers import (
     artinian_stable_ideals,
@@ -237,7 +237,7 @@ def test_criterion_06_sandwich_and_vanishing_columns():
         for row in rows:
             touched.update(row)
         n = J.n
-        sous = _full_sous_raw(J)
+        sous = list(J._staircase)
         assert D == len(sous) and nparams == len(J.min_gens) * D
         for gi in range(len(J.min_gens)):
             for i, beta in enumerate(sous):

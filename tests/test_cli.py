@@ -345,6 +345,32 @@ def test_source_has_no_unused_import():
     assert not found, found
 
 
+def test_source_has_no_orphaned_private_helper():
+    # a module-level _helper that no module of the package reads is left over
+    # from a refactor; tests and the benchmark may reach into the package,
+    # but cannot keep such a helper alive
+    import ast
+    from pathlib import Path
+
+    import arevlex
+
+    defined = {}
+    read = set()
+    for path in sorted(Path(arevlex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = [f"{where} {name}" for name, where in defined.items() if name not in read]
+    assert not found, found
+
+
 @pytest.mark.parametrize("command", ["tangent", "classify", "verify"])
 def test_tangent_below_main_component_is_an_invariant_failure(capsys, monkeypatch, command):
     # T >= nD holds at every Artinian monomial point; an inflated rank breaks it

@@ -29,7 +29,6 @@ from arevlex import marked_reduction
 from arevlex import tangent as tangent_module
 from arevlex.linalg import rank, row_space_equal
 from arevlex.tangent import (
-    _full_sous_raw,
     _linear_rows,
     rank_agrees_with_elimination,
 )
@@ -129,7 +128,7 @@ def test_vanishing_columns():
             touched.update(row)
         from arevlex import contains, Term
 
-        sous = _full_sous_raw(J)
+        sous = list(J._staircase)
         assert D == len(sous) and nparams == len(J.min_gens) * D
         for gi in range(len(J.min_gens)):
             for i, beta in enumerate(sous):
@@ -227,6 +226,30 @@ def test_oracle_rewrites_once_per_block(monkeypatch):
     assert calls == blocks
 
 
+def test_oracle_rows_equal_kernel_rows_list_for_list():
+    # one rewrite per block reads the kernel's equations off the remainder in
+    # the kernel's own order: the same rows, not merely the same row space
+    ideals = [*artinian_stable_ideals(3, 12)]
+    ideals += [almost_revlex_ci(len(d), d) for d in CI_POINTS]
+    for J in ideals:
+        assert marked_reduction.oracle_rows(J)[0] == _linear_rows(J)[0], J
+
+
+@pytest.mark.parametrize("gi, j", [
+    (-1, 1),  # no generator -1
+    (6, 1),  # (2,2,2) has 6 generators
+    (0, 0),  # no variable x_0
+    (0, 4),  # no variable x_4 in three variables
+    (0, 2),  # x2 is min(x2^2), not above it
+    (2, 1),  # x1^2 has no variable below its minimal one
+])
+def test_full_reduce_rejects_a_block_outside_the_system(gi, j):
+    J = almost_revlex_ci(3, (2, 2, 2))
+    assert J._raw[0] == (0, 2, 0) and J._raw[2] == (2, 0, 0)
+    with pytest.raises(DomainError):
+        marked_reduction.full_reduce(J, gi, j)
+
+
 def test_rank_pivot_and_permutation_independence():
     rng = random.Random(11)
     J = almost_revlex_ci(3, (2, 2, 3))
@@ -310,7 +333,7 @@ def test_rows_are_plus_minus_one_pairs(kernel_check_ideals):
 def test_staircase_order_is_degrevlex(kernel_check_ideals):
     # the kernel emits rows in N(J) order, which must be the raw_key order
     for J in kernel_check_ideals[::5]:
-        sous = _full_sous_raw(J)
+        sous = list(J._staircase)
         assert sous == sorted(sous, key=raw_key)
 
 
