@@ -23,12 +23,15 @@ x_j*beta = m fixes beta = m/x_j, and its -C term from at most one beta',
 because delta'*beta' = m fixes beta' = m/delta'.  So each equation reads
 C_a = 0 or C_a - C_b = 0, and the system is a graph: columns are nodes, an
 equality is an edge and a pin is an edge to one extra ground node.  Its
-rank is the number of edges in a spanning forest, i.e. the number of
-unions that merge two components, which :func:`tangent_dim` counts with a
-union-find over the column pairs streamed by :func:`_equation_pairs`.  The
-count is exact, with no elimination and no fractions; fraction-free
-elimination (:mod:`arevlex.linalg`) stays as the oracle of the audit and
-the tests.
+rank is the number of edges in a spanning forest, i.e. (P + 1) minus the
+number of components, whatever the order of the unions.
+:func:`_union_find_rank` counts it by block shape: the pins and edges of a
+block (gamma, j) depend only on (j, delta'), so the pins are ORed in bulk
+into one bitmask per generator and only the two-sided equations run a
+union-find: rank = popcount of the pinned columns + the edge merges.  No
+elimination and no fractions.  :func:`_equation_pairs` streams the same
+blocks of :func:`_blocks` as rows, the ``--out`` dump and the audit, where
+fraction-free elimination (:mod:`arevlex.linalg`) checks the kernel.
 
 The parameters are laid out generator-major, then N(J) in degree-major
 increasing degrevlex: C[gens[gi], beta] is column gi*D + pos[beta].  Both
@@ -151,74 +154,120 @@ def _shift_maps(pos: dict[tuple[int, ...], int], n: int) -> list[list[int]]:
     return div
 
 
-def _equation_pairs(J: MonomialIdeal):
-    """Stream every linearized equation as a column pair (plus, minus).
+def _blocks(J: MonomialIdeal):
+    """Yield (plus0, minus0, j, delta', pmap, qmap) for every block (gi, j).
 
-    For the generator gens[gi], the variable x_j above its minimal variable
-    and each m in N(J), the equation on m reads C[plus] - C[minus] = 0 with
-    plus = (gi, m/x_j) and minus = (alpha', m/delta'), where
-    x_j*gens[gi] = x^alpha' * x^delta' is the head decomposition.  Columns
-    are gi*D + (position of beta in N(J)); a side whose quotient is not a term
-    of N(J) is -1, and m gets no equation when both are.  N(J) is an order
-    ideal, so m/delta' is in N(J) exactly when delta' divides m, and the
-    map m -> m/delta' composes from the one-variable maps (cached per
-    delta').  The two sides are never the same column, so no pair cancels:
-    that would need alpha' = gamma and delta' = x_j, but a head
-    decomposition has max(delta') >= min(alpha') and j < min(gamma).
+    A block is a generator gens[gi] and a variable x_j above its minimal
+    variable; x_j*gens[gi] = x^alpha' * x^delta' is its head decomposition,
+    plus0 = gi*D and minus0 = (index of alpha')*D.  For the m at position i
+    of N(J), pmap[i] is the position of m/x_j and qmap[i] that of m/delta',
+    or -1 when the quotient is not a term of N(J).  N(J) is an order ideal,
+    so m/delta' is in N(J) exactly when delta' divides m, and qmap composes
+    from the one-variable maps (cached per delta').  Both maps carry one
+    trailing -1.  The pair (pmap, qmap) depends on (j, delta') only.
 
-    Order: generator-major, then variable, then m increasing degrevlex, the
-    order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
-    same equations off its remainders.
+    Order: generator-major, then variable.
     """
     gens = J._raw
     n = J.n
     D = colength(J)
     div = _shift_maps(J._staircase, n)
     by_delta: dict[tuple[int, ...], list[int]] = {}
-    blocks = [(gi, j) for gi, g in enumerate(gens) for j in range(1, raw_min_var(g))]
-    for gi, j in blocks:
-        alpha, delta = _pommaret_raw(J, raw_mul(raw_var(n, j), gens[gi]))
-        dd = by_delta.get(delta)
-        if dd is None:
-            dd = list(range(D)) + [-1]
-            for v, e in enumerate(delta):
-                dv = div[v]
-                for _ in range(e):
-                    dd = [dv[i] for i in dd]
-            by_delta[delta] = dd
-        plus0, minus0 = gi * D, J._gen_index[alpha] * D
+    for gi, g in enumerate(gens):
+        for j in range(1, raw_min_var(g)):
+            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(n, j), g))
+            qmap = by_delta.get(delta)
+            if qmap is None:
+                qmap = list(range(D)) + [-1]
+                for v, e in enumerate(delta):
+                    dv = div[v]
+                    for _ in range(e):
+                        qmap = [dv[i] for i in qmap]
+                by_delta[delta] = qmap
+            yield gi * D, J._gen_index[alpha] * D, j, delta, div[j - 1], qmap
+
+
+def _equation_pairs(J: MonomialIdeal):
+    """Stream every linearized equation as a column pair (plus, minus).
+
+    For the block (gi, j) of :func:`_blocks` and each m in N(J), the
+    equation on m reads C[plus] - C[minus] = 0 with plus = (gi, m/x_j) and
+    minus = (alpha', m/delta').  Columns are gi*D + (position of beta in
+    N(J)); a side whose quotient is not a term of N(J) is -1, and m gets no
+    equation when both are.  The two sides are never the same column, so
+    no pair cancels: that would need alpha' = gamma and delta' = x_j, but a
+    head decomposition has max(delta') >= min(alpha') and j < min(gamma).
+
+    Order: generator-major, then variable, then m increasing degrevlex, the
+    order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
+    same equations off its remainders.
+    """
+    for plus0, minus0, _, _, pmap, qmap in _blocks(J):
         yield from [
             (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
-            for p, q in zip(div[j - 1], dd)
+            for p, q in zip(pmap, qmap)
             if p >= 0 or q >= 0
         ]
 
 
 def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
-    """(rank, equation count) of the linearized system, by union-find.
+    """(rank, equation count) of the linearized system, block by block.
 
-    Column c is node c and one ground node stands for zero, so C_a = 0
-    joins a to the ground and C_a - C_b = 0 joins a to b.  The rank of such
-    a system is the number of unions that merge two components.
+    Column c is node c and one ground node stands for zero.  Each shape
+    (j, delta') is worked out once: a pin mask over N(J) per side (bit i
+    for position i), the two-sided edges as two offset lists, and the
+    equation count.  Every pinned column starts pointing at the ground,
+    one merge each; the edges then run the find/union loop.
     """
-    ground = len(J._raw) * colength(J)
-    parent = list(range(ground + 1))
-    merges = count = 0
-    for a, b in _equation_pairs(J):
-        count += 1
-        if a < 0:
-            a = ground
-        if b < 0:
-            b = ground
-        while parent[a] != a:  # path halving
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            merges += 1
+    D = colength(J)
+    pins = [0] * len(J._raw)
+    shapes: dict = {}
+    edges = []
+    count = 0
+    for plus0, minus0, j, delta, pmap, qmap in _blocks(J):
+        shape = shapes.get((j, delta))
+        if shape is None:
+            plus_bits = bytearray(b"0") * D
+            minus_bits = bytearray(b"0") * D
+            ep, eq = [], []
+            for p, q in zip(pmap, qmap):
+                if p >= 0:
+                    if q >= 0:
+                        ep.append(p)
+                        eq.append(q)
+                    else:
+                        plus_bits[p] = 49  # "1"
+                elif q >= 0:
+                    minus_bits[q] = 49
+            shape = shapes[j, delta] = (
+                int(plus_bits[::-1], 2), int(minus_bits[::-1], 2), ep, eq,
+                len(ep) + plus_bits.count(49) + minus_bits.count(49),
+            )
+        plus_mask, minus_mask, ep, eq, neq = shape
+        pins[plus0 // D] |= plus_mask
+        pins[minus0 // D] |= minus_mask
+        count += neq
+        if ep:
+            edges.append((plus0, minus0, ep, eq))
+    spec = f"0{D}b"
+    bits = "".join([format(mask, spec)[::-1] for mask in pins])
+    ground = len(bits)
+    parent = [ground if b == "1" else c for c, b in enumerate(bits)]
+    parent.append(ground)
+    merges = bits.count("1")
+    for plus0, minus0, ep, eq in edges:
+        for p, q in zip(ep, eq):
+            a = plus0 + p
+            b = minus0 + q
+            while parent[a] != a:  # path halving
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                merges += 1
     return merges, count
 
 

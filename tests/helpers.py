@@ -28,6 +28,7 @@ from arevlex import (
 )
 from arevlex.hilbert import validate_degrees
 from arevlex.ideals import _expand_slice, _pommaret_raw
+from arevlex.tangent import _equation_pairs
 from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
 
 
@@ -421,6 +422,37 @@ def tangent_check_ideals() -> list[MonomialIdeal]:
     ideals += [almost_revlex_ci(len(d), d)
                for d in [(3, 4, 4), (2,) * 4, (2,) * 5]]
     return ideals
+
+
+def stream_union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
+    """(rank, equation count) by union-find over the streamed column pairs.
+
+    The reference for the block-shaped kernel ``tangent._union_find_rank``:
+    one find/union per equation of ``tangent._equation_pairs``, pins
+    included, in stream order.  Column c is node c and one ground node
+    stands for zero, so C_a = 0 joins a to the ground and C_a - C_b = 0
+    joins a to b.  The rank of such a system is the number of unions that
+    merge two components.
+    """
+    ground = len(J._raw) * colength(J)
+    parent = list(range(ground + 1))
+    merges = count = 0
+    for a, b in _equation_pairs(J):
+        count += 1
+        if a < 0:
+            a = ground
+        if b < 0:
+            b = ground
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges, count
 
 
 # fixed ideals used across the suite: two strongly stable ideals sharing the

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,11 +42,16 @@ from helpers import (
     ci_degree_grid,
     hom_dim,
     random_strongly_stable,
+    stream_union_find_rank,
     tangent_check_ideals,
     untruncated_oracle_rows,
 )
 
 CI_POINTS = [(2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 4, 4), (2, 2, 2, 2), (2,) * 5]
+
+# the stored tangent-ladder outputs of the benchmark, read here as plain data
+LADDER_STORE = (Path(__file__).resolve().parent.parent
+                / "perfbench" / "expected" / "tangent-ladder.json.gz")
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +329,44 @@ def test_union_find_rank_equals_elimination(kernel_check_ideals):
         assert rep.rank == rank(rows), J
         assert rep.equation_count == len(rows), J
         assert rep.param_count == nparams, J
+
+
+def test_block_kernel_equals_stream_union_find(kernel_check_ideals):
+    # the kernel applies pins in bulk per block shape and runs the find/union
+    # loop over two-sided edges only; the reference runs one find/union per
+    # streamed equation.  The fixture holds the six CI points; D = 256, 243
+    # and 512 make pin masks wider than 64 bits
+    ideals = [*kernel_check_ideals]
+    ideals += [almost_revlex_ci(len(d), d) for d in [(4, 4, 4, 4), (3,) * 5, (8, 8, 8)]]
+    for J in ideals:
+        assert tangent_module._union_find_rank(J) == stream_union_find_rank(J), J
+
+
+def test_tangent_dim_streams_no_equations(monkeypatch):
+    def refuse(J):
+        raise AssertionError("tangent_dim must not stream the equations")
+
+    monkeypatch.setattr(tangent_module, "_equation_pairs", refuse)
+    assert tangent_dim(almost_revlex_ci(3, (3, 4, 4))).tangent_dim == 286
+
+
+def test_tangent_dim_matches_the_stored_ladder():
+    # rungs up to 2.3e5 parameters, beyond the reach of elimination here
+    with gzip.open(LADDER_STORE, "rt") as f:
+        header, *entries = map(json.loads, f)
+    assert len(entries) == header["fixed"] + header["rest"]
+    assert {(6, 6, 6, 6), (4,) * 5, (3,) * 6} <= {tuple(e["degrees"]) for e in entries}
+    keys = ("params", "equations", "rank", "tangent_dim")
+    for entry in entries:
+        degs = tuple(entry["degrees"])
+        stored = dict(line.split(": ") for line in entry["tangent"].splitlines())
+        rep = tangent_dim(almost_revlex_ci(len(degs), degs)).to_json()
+        assert [rep[k] for k in keys] == [int(stored[k]) for k in keys], degs
+
+
+def test_tangent_dim_at_three_million_parameters():
+    rep = tangent_dim(almost_revlex_ci(5, (5, 5, 5, 5, 8)))
+    assert (rep.param_count, rep.equation_count, rep.rank) == (3135000, 10342292, 2452046)
 
 
 def test_rows_are_plus_minus_one_pairs(kernel_check_ideals):
