@@ -115,7 +115,7 @@ def cmd_tangent(args) -> int:
     audit_line = None
     if args.audit:
         if report.equation_count <= AUDIT_MAX_EQUATIONS:
-            if not audit_tangent(J):
+            if not audit_tangent(J, report.rank):
                 print("audit: FAILED", file=sys.stderr)
                 return 2
             audit_line = "ok"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DomainError
-from .ideals import MonomialIdeal, _slices, _socle_slices, is_strongly_stable, krull_dim
+from .ideals import MonomialIdeal, _slices, _socle_slices, is_strongly_stable
 from .terms import json_int
 
 
@@ -276,7 +276,9 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     if J.is_artinian:
         counts = [len(s) for s in _socle_slices(J, up_to)]
         return HilbertFunction(tuple(counts), Eventual("zero"))
-    if not J.is_zero and is_strongly_stable(J) and krull_dim(J) == 1:
+    # Krull dimension one needs n-1 pure powers; count them before the
+    # stability check, which builds the slices through the top degree
+    if not J.is_zero and len(J._pure_power_vars) == J.n - 1 and is_strongly_stable(J):
         counts = [len(s) for s in _slices(J, max(up_to, J.max_gen_degree()))]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
     return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)

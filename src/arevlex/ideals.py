@@ -8,38 +8,38 @@ and exactly.
 Membership has two routes, each the only one for its inputs:
 
 * ``_Divisors``, a bitmask index built once from the whole exponent list of
-  B_J when the ideal is created, answers "which generators divide e?"
-  exactly without assuming stability: per variable, a bisect into the
-  sorted distinct exponents picks a mask of the generators whose exponent
-  is at most e's, and the AND of the n masks holds the divisors of e.
-  Building it is the minimality check of the basis (b_k is minimal iff bit
-  k alone is set for b_k, in any order), and it serves :func:`minimalize`,
+  B_J, answers "which generators divide e?" exactly without assuming
+  stability: per variable, a bisect into the sorted distinct exponents
+  picks a mask of the generators whose exponent is at most e's, and the AND
+  of the n masks holds the divisors of e.  Building it is the minimality
+  check of the basis (b_k is minimal iff bit k alone is set for b_k, in any
+  order); :func:`minimalize` makes that check once and hands its sorted
+  basis and index to the ideal it returns.  The index serves
   :func:`contains`, the staircase of a non-stable ideal and the
   quasi-stability predicate.
-* ``MonomialIdeal._head`` walks down from the term by its smallest variable
-  until it meets B_J; for a stable J this finds the head alpha of the
-  unique decomposition tau = alpha*delta (P(J) = B_J) in O(deg tau)
-  lookups in the generator index, or shows tau is outside J.  It serves
-  everything that requires stability: the stability and strong stability
-  predicates, the head decomposition and, through it, the tangent
-  equations and the marked reduction.  It stays because the decomposition
-  needs the head itself and the index is no faster at the predicates: on
-  the 679 almost revlex bases of the CI grid (n <= 5, 2 <= d <= 8, prod d
-  <= 5000), the stable predicate takes 0.65 s by head walk against 0.73 s
-  through the index (median of five runs, each the best of nine passes
-  over fresh copies of the bases; 2-core shared VM, Python 3.11.7,
-  measured 2026-10-19; the head walk was faster in every run).
+* A lookup in B_J (``_gen_index``) decides membership in the expansion of
+  a stable staircase, and ``MonomialIdeal._head`` walks down from a term by
+  its smallest variable until it meets B_J; for a stable J this finds the
+  head alpha of the unique decomposition tau = alpha*delta (P(J) = B_J) in
+  O(deg tau) lookups, or shows tau is outside J.  The walk serves the
+  strong stability predicate, the head decomposition and, through it, the
+  tangent equations and the marked reduction.
 
 The staircase N(J) of every monomial ideal comes from one recursion,
-N(J)_{t+1} = E(N(J)_t) \\ J (``_slices``): N(J) is an order ideal, so a
-term of degree t+1 outside J has its cofactor m/x_{min(m)} in N(J)_t.  For a
-stable J only B_J meets the expansion, and a lookup in the generator index
-decides (the grid's slices through the top generator degree take 0.55 s
-so, against 2.00 s through ``_Divisors``, measured as above); any other J
-asks ``_Divisors``.  The expansion itself needs no membership test: block
-v, x_v times the terms whose smallest variable is x_v or above, multiplies
-a suffix of the sorted slice (``_expand_slice``).  :func:`sous_escalier`
-and the Hilbert function of a quotient read the slices.  The construction runs the same expansion,
+N(J)_t = E(N(J)_{t-1}) \\ J (``_slices``): N(J) is an order ideal, so a
+term of degree t outside J has its cofactor m/x_{min(m)} in N(J)_{t-1}.
+The expansion itself needs no membership test: block v, x_v times the
+terms whose smallest variable is x_v or above, multiplies a suffix of the
+sorted slice (``_expand_slice``).  The same recursion decides stability
+(B_J is a Pommaret basis iff J is stable).  While the generators of degree
+< t are stable under their moves x_j*g/x_min(g), only generators of degree
+t meet the expansion, so a lookup in B_J decides, and the degree-t moves
+lie in J iff they are not in the exact slice N(J)_t.  The first failing
+move shows J is not stable, and later slices ask ``_Divisors``; reaching
+the top generator degree shows J is stable.  So every path that reads the
+slices gets the verdict for one set per generator degree, not one head
+walk per move.  :func:`sous_escalier` and the Hilbert function of a
+quotient read the slices.  The construction runs the same expansion,
 keeping a prescribed number of the smallest terms per degree instead of
 filtering by J.
 
@@ -55,7 +55,7 @@ and the audit oracle take their parameter columns from these two.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -211,23 +211,10 @@ class MonomialIdeal:
 
     @cached_property
     def _stable(self) -> bool:
-        # J is stable iff every move x_j * g / x_min(g) of a generator lies
-        # in J.  The head walk only meets divisors of the move, so a hit
-        # proves membership.  If J is stable, every walk is exact and every
-        # move passes; if not, some move lies outside J and its walk finds
-        # no generator.  So the verdict is exact before stability is known.
-        for g in self._raw:
-            if not sum(g):
-                continue
-            k = raw_min_var(g)
-            moved = list(g)
-            moved[k - 1] -= 1
-            for j in range(1, k):
-                moved[j - 1] += 1
-                if self._head(tuple(moved)) is None:
-                    return False
-                moved[j - 1] -= 1
-        return True
+        # the staircase recursion decides stability degree by degree (see
+        # _slices); the last generator degree settles it either way
+        _slices(self, self.max_gen_degree() if self._raw else 0)
+        return self.__dict__["_stable"]
 
     @cached_property
     def _strongly_stable(self) -> bool:
@@ -284,9 +271,19 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
     distinct = sorted(set(gens), key=Term.sort_key)
     if any(g.nvars != nv for g in distinct):
         raise DimensionError("mixed variable counts in generator list")
-    index = _Divisors([g.exponents for g in distinct])
-    kept = (g for k, g in enumerate(distinct) if index.below(g.exponents) == 1 << k)
-    return MonomialIdeal(nv, tuple(kept))
+    raw = tuple(g.exponents for g in distinct)
+    index = _Divisors(raw)
+    # the candidates are distinct, so b_k is minimal iff it alone divides b_k
+    minimal = [index.below(e) == 1 << k for k, e in enumerate(raw)]
+    if not all(minimal):
+        distinct = [g for g, keep in zip(distinct, minimal) if keep]
+        raw = tuple(g.exponents for g in distinct)
+        index = _Divisors(raw)
+    # sorted, distinct and minimal by construction: the basis checks of
+    # MonomialIdeal would only repeat the work above
+    J = object.__new__(MonomialIdeal)
+    J.__dict__.update(n=nv, min_gens=tuple(distinct), _raw=raw, _divisors=index)
+    return J
 
 
 def contains(J: MonomialIdeal, tau: Term) -> bool:
@@ -321,11 +318,11 @@ def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...
     block v-1 and plain concatenation is sorted.
     """
     out: list[tuple[int, ...]] = []
-    start = 0
+    start, size = 0, len(slice_t)
     for i in range(n - 1, -1, -1):
         out += [tau[:i] + (tau[i] + 1,) + tau[i + 1 :] for tau in slice_t[start:]]
         # drop the terms divisible by x_{i+1} from the suffix
-        while start < len(slice_t) and slice_t[start][i]:
+        while start < size and slice_t[start][i]:
             start += 1
     return out
 
@@ -333,20 +330,46 @@ def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...
 def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
     """Sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
 
-    Iterates N(J)_{t+1} = E(N(J)_t) minus J.  For a stable J only generators
-    of degree t+1 can meet the expansion, so a lookup in B_J decides; any
-    other J asks the divisor index.  Agreement with the definition (every
-    term of the degree, filtered by divisibility) is pinned by tests.  The
-    computed prefix is cached on the ideal and only extended.
+    Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
+    (see the module docstring): the verdict lands in ``J._stable`` at the
+    first failing move or at the top generator degree.  The computed prefix
+    is cached on the ideal and only extended.  Agreement with the
+    definitions is pinned by tests.
     """
     store = J.__dict__.get("_slice_store")
     if store is None:
         zero = (0,) * J.n
         store = J.__dict__["_slice_store"] = [[] if zero in J._gen_index else [zero]]
-    inside = J._gen_index if J._stable else J._divisors
-    for _ in range(len(store), upto + 1):
-        store.append([m for m in _expand_slice(store[-1], J.n) if m not in inside])
+        if not J._raw or not sum(J._raw[-1]):
+            J.__dict__["_stable"] = True
+    raw = J._raw
+    for t in range(len(store), upto + 1):
+        stable = J.__dict__.get("_stable")  # None while undecided
+        inside = J._divisors if stable is False else J._gen_index
+        sl = [m for m in _expand_slice(store[-1], J.n) if m not in inside]
+        store.append(sl)
+        if stable is None:
+            lo = bisect_left(raw, t, key=sum)
+            hi = bisect_left(raw, t + 1, lo, key=sum)
+            if hi > lo and _moves_leave(raw[lo:hi], set(sl)):
+                J.__dict__["_stable"] = False
+            elif hi == len(raw):
+                J.__dict__["_stable"] = True
     return store[: upto + 1]
+
+
+def _moves_leave(gens, outside) -> bool:
+    """True iff some move x_j*g/x_min(g), j < min(g), of a generator lies in ``outside``."""
+    for g in gens:
+        k = raw_min_var(g)
+        moved = list(g)
+        moved[k - 1] -= 1
+        for j in range(k - 1):
+            moved[j] += 1
+            if tuple(moved) in outside:
+                return True
+            moved[j] -= 1
+    return False
 
 
 def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[tuple[int, ...]]]:
@@ -403,9 +426,9 @@ def is_almost_revlex(J: MonomialIdeal) -> bool:
     """True iff every same-degree term above a minimal generator lies in J.
 
     Almost revlex ideals are strongly stable, so anything failing the
-    (cheap, generators-only) stability test is rejected outright; for
-    stable J the check reduces to comparing each generator with the top of
-    its sous-escalier slice.
+    stability test, which stops at the first failing degree, is rejected
+    outright; for stable J the check reduces to comparing each generator
+    with the top of its sous-escalier slice.
     """
     if J.is_zero:
         return True

@@ -124,10 +124,11 @@ def oracle_rows(J: MonomialIdeal):
     return rows, len(J._raw) * colength(J)
 
 
-def audit_tangent(J: MonomialIdeal) -> bool:
-    """True iff the union-find rank matches elimination on the truncated
-    linearization, and that linearization spans the oracle's row space."""
+def audit_tangent(J: MonomialIdeal, rank: int) -> bool:
+    """True iff ``rank``, the union-find rank reported for J, matches
+    elimination on the truncated linearization, and that linearization
+    spans the oracle's row space."""
     rows_fast, _, _ = _linear_rows(J)
-    if not rank_agrees_with_elimination(J, rows_fast):
+    if not rank_agrees_with_elimination(rank, rows_fast):
         return False
     return row_space_equal(rows_fast, oracle_rows(J)[0])

@@ -315,13 +315,14 @@ def tangent_dim(J: MonomialIdeal) -> TangentReport:
     )
 
 
-def rank_agrees_with_elimination(J: MonomialIdeal, rows) -> bool:
-    """Audit check: the union-find rank equals fraction-free elimination on ``rows``.
+def rank_agrees_with_elimination(rank: int, rows) -> bool:
+    """Audit check: ``rank``, the union-find rank that :func:`tangent_dim`
+    reported, equals fraction-free elimination on ``rows``.
 
     ``rows`` are the rows of :func:`_linear_rows`; :func:`tangent_dim`
     never runs elimination itself.
     """
-    return _union_find_rank(J)[0] == matrix_rank(rows)
+    return rank == matrix_rank(rows)
 
 
 def tangent_bounds(J: MonomialIdeal) -> tuple[int, int]:

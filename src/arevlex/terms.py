@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import neg
 
 from .errors import DimensionError, DomainError
 
@@ -28,7 +29,7 @@ def raw_key(e: tuple[int, ...]):
     nonzero entry of a-b is positive; reversing and negating the exponents
     turns that comparison into plain lexicographic order on tuples.
     """
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 def raw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -105,7 +106,7 @@ class Term:
     def __post_init__(self):
         if len(self.exponents) < 1:
             raise DimensionError("a term needs at least one variable")
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:
             raise DomainError(f"negative exponent in {self.exponents}")
         if not isinstance(self.exponents, tuple):
             object.__setattr__(self, "exponents", tuple(self.exponents))
@@ -264,4 +265,8 @@ def json_int(x) -> int:
 def term_from_json(data: list[int]) -> Term:
     if not isinstance(data, list):
         raise DomainError(f"expected a list of exponents, got {data!r}")
-    return Term(tuple(json_int(x) for x in data))
+    # one type check for the whole list; the loop only names the first offender
+    if not {*map(type, data)} <= {int}:
+        for x in data:
+            json_int(x)
+    return Term(tuple(data))

@@ -29,7 +29,7 @@ from arevlex import (
 from arevlex.hilbert import validate_degrees
 from arevlex.ideals import _expand_slice, _pommaret_raw
 from arevlex.tangent import _equation_pairs
-from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
+from arevlex.terms import raw_divides, raw_key, raw_min_var, raw_mul, raw_var
 
 
 def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -45,10 +45,16 @@ def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
     return [m for m in enumerate_terms(n, t + 1) if m.exponents not in forbidden]
 
 
+@functools.cache
+def _terms_of_degree(n: int, t: int) -> tuple[Term, ...]:
+    return tuple(enumerate_terms(n, t))
+
+
 def brute_sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
     """N(J)_t by definition: every degree-t term that no minimal generator divides."""
-    return [m for m in enumerate_terms(J.n, t)
-            if not any(g.divides(m) for g in J.min_gens)]
+    gens = [g.exponents for g in J.min_gens]
+    return [m for m in _terms_of_degree(J.n, t)
+            if not any(raw_divides(g, m.exponents) for g in gens)]
 
 
 def hom_dim(J: MonomialIdeal) -> int:

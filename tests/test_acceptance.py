@@ -271,7 +271,7 @@ def test_criterion_07_full_reduction_oracle_equivalence():
     ideals = artinian_stable_ideals(3, 12)
     assert len(ideals) == 266
     for J in ideals:
-        assert audit_tangent(J), J
+        assert audit_tangent(J, tangent_dim(J).rank), J
     note(7, f"truncated linearization == full symbolic reduction on "
             f"{len(ideals)} Artinian stable ideals (n <= 3, colength <= 12)")
 

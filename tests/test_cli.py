@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import os
@@ -15,6 +16,9 @@ from arevlex import ideal_to_json, minimalize, term
 from arevlex.cli import AUDIT_MAX_EQUATIONS, main
 
 from helpers import CURVE_GENS
+
+# the stored ci-grid outputs of the benchmark, read here as plain data
+GRID_STORE = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "ci-grid.json.gz"
 
 # fresh interpreters import this checkout's arevlex, installed or not
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -64,6 +68,19 @@ def test_hilbert_ideal_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "5")
     assert code == 0
     assert out.splitlines()[0] == "1,3,6,6,5,5"
+
+
+def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys):
+    # construct, then hilbert --ideal on its output, prints the stored table
+    # for every list of the grid
+    with gzip.open(GRID_STORE, "rt") as f:
+        header, *entries = map(json.loads, f)
+    assert len(entries) == header["fixed"] + header["rest"] == 676
+    path = tmp_path / "ideal.json"
+    for entry in entries:
+        path.write_text(entry["construct"])
+        code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path))
+        assert (code, out, err) == (0, entry["hilbert"], ""), entry["degrees"]
 
 
 @pytest.mark.parametrize("nvars, gens, table", [

@@ -130,8 +130,9 @@ def test_basis_checks_match_brute_force():
 
 def test_basis_checks_make_no_pairwise_scan(monkeypatch):
     # the basis check and minimalize answer divisibility from the divisor
-    # index, one query per generator or candidate; pairwise scans make 179k
-    # (construction) and 375k (minimalize) divisibility tests on this basis
+    # index, one query per generator or candidate, and the ideal minimalize
+    # returns reuses its checks; pairwise scans make 179k (construction) and
+    # 375k (minimalize) divisibility tests on this basis
     scans = queries = 0
 
     def counting_divides(a, b):
@@ -153,10 +154,51 @@ def test_basis_checks_make_no_pairwise_scan(monkeypatch):
     assert scans < len(J.min_gens)
     assert queries == len(J.min_gens)
     scans = queries = 0
-    # one query per candidate, then one per generator of the built ideal
+    # one query per candidate and none for the ideal it returns
     assert minimalize(list(J.min_gens)) == J
     assert scans < len(J.min_gens)
-    assert queries == 2 * len(J.min_gens)
+    assert queries == len(J.min_gens)
+
+
+def test_minimalize_indexes_the_kept_basis():
+    # after dropping duplicates and multiples, the returned ideal carries the
+    # basis and index that the checked constructor builds from the kept terms
+    rng = random.Random(1515)
+    dropped = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pool = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        pool += [tuple(x + rng.randint(0, 2) for x in rng.choice(pool)) for _ in range(3)]
+        terms = [Term(e) for e in pool]
+        expected = brute_minimal_basis(terms)
+        J = minimalize(terms)
+        assert J.min_gens == expected
+        dropped += len(set(pool)) > len(expected)
+        assert J == MonomialIdeal(n, J.min_gens)
+        assert hash(J) == hash(MonomialIdeal(n, J.min_gens))
+        assert [J._divisors.below(b) for b in J._raw] == [1 << k for k in range(len(J._raw))]
+        for t in range(7):
+            for m in enumerate_terms(n, t):
+                assert contains(J, m) == any(g.divides(m) for g in expected), (J, m)
+    assert dropped > 100
+
+
+def test_direct_construction_checks_every_basis():
+    # only minimalize skips the basis checks; a basis passed in directly is
+    # checked for length, order and minimality
+    with pytest.raises(DomainError, match="not strictly increasing"):
+        MonomialIdeal(2, (term(0, 3), term(2, 0)))
+    with pytest.raises(DomainError, match="not strictly increasing"):
+        MonomialIdeal(2, (term(2, 0), term(2, 0)))
+    with pytest.raises(DomainError, match=r"basis not minimal: \(2, 0\) divides \(2, 1\)"):
+        MonomialIdeal(2, (term(2, 0), term(2, 1)))
+    with pytest.raises(DimensionError, match="wrong variable count"):
+        MonomialIdeal(3, (term(2, 0, 0), term(0, 3)))
+    J = almost_revlex_ci(4, (3, 3, 4, 5))
+    assert MonomialIdeal(J.n, J.min_gens) == J
+    with pytest.raises(DomainError, match="basis not minimal"):
+        MonomialIdeal(J.n, tuple(sorted(J.min_gens + (J.min_gens[0] * term(0, 0, 0, 1),),
+                                        key=Term.sort_key)))
 
 
 def test_huge_exponents_stay_fast():
@@ -285,21 +327,48 @@ def test_stability_implication_chain():
             assert is_quasi_stable(J)
 
 
-def test_stability_predicates_match_definitions():
-    # random minimal ideals, most not stable, plus every Artinian ideal with
-    # a small staircase, which includes stable ideals that are not strongly
-    # stable
+def stability_test_ideals() -> list[MonomialIdeal]:
+    """Random minimal ideals, most not stable, plus every Artinian ideal with
+    a small staircase, which includes stable ideals that are not strongly
+    stable."""
     rng = random.Random(404)
     ideals = [random_monomial_ideal(rng, rng.randint(1, 5)) for _ in range(1500)]
     for n in (2, 3, 4):
         ideals += [ideal_with_staircase(S, n) for S in order_ideals(n, 8)]
+    return ideals
+
+
+def test_stability_predicates_match_definitions():
     seen = set()
-    for J in ideals:
+    for J in stability_test_ideals():
         kind = (brute_is_quasi_stable(J), brute_is_stable(J), brute_is_strongly_stable(J))
         assert (is_quasi_stable(J), is_stable(J), is_strongly_stable(J)) == kind, J
         seen.add(kind)
     assert seen == {(False, False, False), (True, False, False), (True, True, False),
                     (True, True, True)}
+
+
+def test_stability_read_off_the_slices_in_either_order():
+    # the slices decide stability as they go: slicing part of the way first,
+    # or asking for the verdict first, gives the verdict of the definition,
+    # and a non-stable ideal's slices, resumed after a partial build and
+    # carried past the failing degree, are the staircase of the definition
+    rng = random.Random(1505)
+    unstable = 0
+    for J in stability_test_ideals():
+        want = brute_is_stable(J)
+        top = J.max_gen_degree()
+        sliced_first = MonomialIdeal(J.n, J.min_gens)
+        _slices(sliced_first, rng.randrange(top) if top else 0)
+        asked_first = MonomialIdeal(J.n, J.min_gens)
+        assert is_stable(asked_first) == want, J
+        assert is_stable(sliced_first) == want, J
+        if want:
+            continue
+        unstable += 1
+        brute = [[m.exponents for m in brute_sous_escalier(J, t)] for t in range(top + 3)]
+        assert _slices(sliced_first, top + 2) == brute, J
+    assert unstable > 1000
 
 
 def test_almost_revlex_examples():

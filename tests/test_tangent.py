@@ -199,7 +199,7 @@ def test_oracle_agreement_sample():
         ideals.append(random_strongly_stable(rng, rng.randint(2, 3), rng.randint(2, 3)))
     for J in ideals:
         if colength(J) <= 14:
-            assert audit_tangent(J)
+            assert audit_tangent(J, tangent_dim(J).rank)
 
 
 def test_oracle_modulo_parameter_square_matches_untruncated():
@@ -394,8 +394,19 @@ def test_tangent_dim_runs_no_elimination(monkeypatch):
 def test_rank_agrees_with_elimination():
     J = almost_revlex_ci(3, (2, 2, 3))
     rows, _, _ = _linear_rows(J)
-    assert rank_agrees_with_elimination(J, rows)
-    assert not rank_agrees_with_elimination(J, rows[: len(rows) // 2])
+    rank = tangent_dim(J).rank
+    assert rank_agrees_with_elimination(rank, rows)
+    assert not rank_agrees_with_elimination(rank, rows[: len(rows) // 2])
+    assert not rank_agrees_with_elimination(rank + 1, rows)
+
+
+def test_audit_fails_on_a_wrong_rank():
+    # the audit checks the rank it is given, so a kernel that reported one
+    # too many would be caught
+    for J in (almost_revlex_ci(3, (2, 2, 2)), almost_revlex_ci(2, (3, 4))):
+        rank = tangent_dim(J).rank
+        assert audit_tangent(J, rank)
+        assert not audit_tangent(J, rank + 1)
 
 
 def test_rank_small_matrices():
