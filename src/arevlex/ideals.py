@@ -265,12 +265,12 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
         if n is None:
             raise DimensionError("empty generator list needs an explicit n")
         return MonomialIdeal(n, ())
-    nv = gens[0].nvars
-    if n is not None and n != nv:
-        raise DimensionError(f"generators over {nv} variables, expected {n}")
+    nv = gens[0].nvars if n is None else n
     distinct = sorted(set(gens), key=Term.sort_key)
-    if any(g.nvars != nv for g in distinct):
-        raise DimensionError("mixed variable counts in generator list")
+    for g in distinct:
+        if g.nvars != nv:
+            raise DimensionError(f"generator {list(g.exponents)} is over {g.nvars} "
+                                 f"variables, expected {nv}")
     raw = tuple(g.exponents for g in distinct)
     index = _Divisors(raw)
     # the candidates are distinct, so b_k is minimal iff it alone divides b_k
@@ -574,6 +574,4 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
         gens = [term_from_json(g) for g in data["generators"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc
-    if any(g.nvars != n for g in gens):
-        raise DimensionError("generator length disagrees with 'vars'")
     return minimalize(gens, n)

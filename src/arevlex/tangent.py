@@ -25,10 +25,10 @@ C_a = 0 or C_a - C_b = 0, and the system is a graph: columns are nodes, an
 equality is an edge and a pin is an edge to one extra ground node.  Its
 rank is the number of edges in a spanning forest, i.e. (P + 1) minus the
 number of components, whatever the order of the unions.
-:func:`_union_find_rank` counts it by block shape: the pins and edges of a
-block (gamma, j) depend only on (j, delta'), so the pins are ORed in bulk
-into one bitmask per generator and only the two-sided equations run a
-union-find: rank = popcount of the pinned columns + the edge merges.  No
+:func:`_union_find_rank` counts it by block shape, (j, delta'): the pins
+form one ground mask per generator, a closure grounds every column that an
+edge ties to the ground, and a union-find runs only on the rest, so
+rank = P - T with T the number of ungrounded components.  No
 elimination and no fractions.  :func:`_equation_pairs` streams the same
 blocks of :func:`_blocks` as rows, the ``--out`` dump and the audit, where
 fraction-free elimination (:mod:`arevlex.linalg`) checks the kernel.
@@ -139,52 +139,17 @@ def parameters(J: MonomialIdeal) -> list[Parameter]:
     return [Parameter(alpha, beta) for alpha in J.min_gens for beta in betas]
 
 
-def _shift_maps(pos: dict[tuple[int, ...], int], n: int) -> list[list[int]]:
-    """div[v][i] = position of m/x_{v+1} in N(J) for the m at position i, or -1
-    if x_{v+1} does not divide m; ``pos`` is the staircase index.
-
-    Each list carries one trailing -1, so indexing it with -1 yields -1 and
-    maps compose without a guard.
-    """
-    div = []
-    for v in range(n):
-        dv = [pos[m[:v] + (m[v] - 1,) + m[v + 1 :]] if m[v] else -1 for m in pos]
-        dv.append(-1)
-        div.append(dv)
-    return div
-
-
 def _blocks(J: MonomialIdeal):
-    """Yield (plus0, minus0, j, delta', pmap, qmap) for every block (gi, j).
+    """Yield (gi, ai, j, delta') for every block (gi, j).
 
     A block is a generator gens[gi] and a variable x_j above its minimal
-    variable; x_j*gens[gi] = x^alpha' * x^delta' is its head decomposition,
-    plus0 = gi*D and minus0 = (index of alpha')*D.  For the m at position i
-    of N(J), pmap[i] is the position of m/x_j and qmap[i] that of m/delta',
-    or -1 when the quotient is not a term of N(J).  N(J) is an order ideal,
-    so m/delta' is in N(J) exactly when delta' divides m, and qmap composes
-    from the one-variable maps (cached per delta').  Both maps carry one
-    trailing -1.  The pair (pmap, qmap) depends on (j, delta') only.
-
-    Order: generator-major, then variable.
+    variable; x_j*gens[gi] = x^alpha' * x^delta' is its head decomposition
+    and ai = index of alpha' in B_J.  Order: generator-major, then variable.
     """
-    gens = J._raw
-    n = J.n
-    D = colength(J)
-    div = _shift_maps(J._staircase, n)
-    by_delta: dict[tuple[int, ...], list[int]] = {}
-    for gi, g in enumerate(gens):
+    for gi, g in enumerate(J._raw):
         for j in range(1, raw_min_var(g)):
-            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(n, j), g))
-            qmap = by_delta.get(delta)
-            if qmap is None:
-                qmap = list(range(D)) + [-1]
-                for v, e in enumerate(delta):
-                    dv = div[v]
-                    for _ in range(e):
-                        qmap = [dv[i] for i in qmap]
-                by_delta[delta] = qmap
-            yield gi * D, J._gen_index[alpha] * D, j, delta, div[j - 1], qmap
+            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(J.n, j), g))
+            yield gi, J._gen_index[alpha], j, delta
 
 
 def _equation_pairs(J: MonomialIdeal):
@@ -202,73 +167,113 @@ def _equation_pairs(J: MonomialIdeal):
     order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
     same equations off its remainders.
     """
-    for plus0, minus0, _, _, pmap, qmap in _blocks(J):
+    pos = J._staircase
+    D = len(pos)
+    # div[v][i]: the position of m/x_{v+1} for the m at position i, or -1;
+    # N(J) is an order ideal, so they compose to m/delta' (a trailing -1 stays)
+    div = [[pos[m[:v] + (m[v] - 1,) + m[v + 1:]] if m[v] else -1 for m in pos] + [-1]
+           for v in range(J.n)]
+    by_delta: dict[tuple[int, ...], list[int]] = {}
+    for gi, ai, j, delta in _blocks(J):
+        qmap = by_delta.get(delta)
+        if qmap is None:
+            qmap = list(range(D)) + [-1]
+            for v, e in enumerate(delta):
+                for _ in range(e):
+                    qmap = [div[v][i] for i in qmap]
+            by_delta[delta] = qmap
+        plus0, minus0 = gi * D, ai * D
         yield from [
             (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
-            for p, q in zip(pmap, qmap)
+            for p, q in zip(div[j - 1], qmap)
             if p >= 0 or q >= 0
         ]
 
 
 def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
-    """(rank, equation count) of the linearized system, block by block.
+    """(rank, equation count) of the linearized system, by a ground closure.
 
-    Column c is node c and one ground node stands for zero.  Each shape
-    (j, delta') is worked out once: a pin mask over N(J) per side (bit i
-    for position i), the two-sided edges as two offset lists, and the
-    equation count.  Every pinned column starts pointing at the ground,
-    one merge each; the edges then run the find/union loop.
+    Term m of N(J) is bit sum(m_v * stride_v), each stride (from x_n down)
+    one past the largest cell so far: no two terms share a cell, and m/x_j
+    and m/delta' sit a fixed stride below m.  Masks of the terms with
+    exponent >= k give each shape (j, delta') its plus pins, minus pins,
+    two-sided edge ends and equation count.  Each generator's ground mask
+    starts as the OR of its pins; a worklist grounds the far end of every
+    edge whose near end is ground, shifting (mask AND near ends) onto the
+    far ends, until no mask grows.  Only edge ends move, so none carries;
+    masking after the shift would be exact too (p*x_j on the cell of a
+    multiple m of x_j in N(J) means p = m/x_j) but shifts full masks.  Then
+    an edge has both ends ground or neither; a dict-keyed union-find on the
+    ungrounded ones leaves T = ungrounded columns - merges components
+    besides the ground, and rank = P - T = grounded columns + merges.
     """
-    D = colength(J)
-    pins = [0] * len(J._raw)
-    shapes: dict = {}
+    pos = J._staircase
+    radix = [max(m[v] for m in pos) + 1 for v in range(J.n)]
+    stride, cells = [0] * J.n, [0] * len(pos)
+    for v in reversed(range(J.n)):
+        stride[v] = max(cells) + 1
+        cells = [c + m[v] * stride[v] for c, m in zip(cells, pos)]
+    size = max(cells) + 1
+    at_least = []  # at_least[v][k]: the terms with exponent of x_{v+1} >= k
+    for v in range(J.n):
+        rows = [bytearray(size // 8 + 1) for _ in range(radix[v])]
+        for m, c in zip(pos, cells):
+            rows[m[v]][c >> 3] |= 1 << (c & 7)
+        masks = [int.from_bytes(row, "little") for row in rows] + [0]
+        for k in range(radix[v] - 1, 0, -1):
+            masks[k - 1] |= masks[k]
+        at_least.append(masks)
+    ground = [0] * len(J._raw)
+    reach = [[] for _ in ground]  # per generator: (other generator, ends, shift)
     edges = []
-    count = 0
-    for plus0, minus0, j, delta, pmap, qmap in _blocks(J):
+    shapes, count = {}, 0
+    for gi, ai, j, delta in _blocks(J):
         shape = shapes.get((j, delta))
         if shape is None:
-            plus_bits = bytearray(b"0") * D
-            minus_bits = bytearray(b"0") * D
-            ep, eq = [], []
-            for p, q in zip(pmap, qmap):
-                if p >= 0:
-                    if q >= 0:
-                        ep.append(p)
-                        eq.append(q)
-                    else:
-                        plus_bits[p] = 49  # "1"
-                elif q >= 0:
-                    minus_bits[q] = 49
+            xj, dd = at_least[j - 1][1], at_least[0][0]
+            for v, e in enumerate(delta):  # at_least[v][0] is all of N(J)
+                dd &= at_least[v][min(e, radix[v])]
+            both = xj & dd
+            sj, sd = stride[j - 1], sum(e * s for e, s in zip(delta, stride))
             shape = shapes[j, delta] = (
-                int(plus_bits[::-1], 2), int(minus_bits[::-1], 2), ep, eq,
-                len(ep) + plus_bits.count(49) + minus_bits.count(49),
-            )
-        plus_mask, minus_mask, ep, eq, neq = shape
-        pins[plus0 // D] |= plus_mask
-        pins[minus0 // D] |= minus_mask
+                (xj ^ both) >> sj, (dd ^ both) >> sd, both >> sj, both >> sd,
+                sj - sd, (xj | dd).bit_count())
+        plus, minus, plus_ends, minus_ends, shift, neq = shape
+        ground[gi] |= plus
+        ground[ai] |= minus
         count += neq
-        if ep:
-            edges.append((plus0, minus0, ep, eq))
-    spec = f"0{D}b"
-    bits = "".join([format(mask, spec)[::-1] for mask in pins])
-    ground = len(bits)
-    parent = [ground if b == "1" else c for c, b in enumerate(bits)]
-    parent.append(ground)
-    merges = bits.count("1")
-    for plus0, minus0, ep, eq in edges:
-        for p, q in zip(ep, eq):
-            a = plus0 + p
-            b = minus0 + q
-            while parent[a] != a:  # path halving
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
+        if plus_ends:
+            reach[gi].append((ai, plus_ends, shift))
+            reach[ai].append((gi, minus_ends, -shift))
+            edges.append((gi, ai, plus_ends, shift))
+    todo = set(range(len(ground)))
+    while todo:
+        g = todo.pop()
+        for h, ends, shift in reach[g]:
+            far = ground[g] & ends
+            if far:
+                grown = ground[h] | (far << shift if shift > 0 else far >> -shift)
+                if grown != ground[h]:
+                    ground[h] = grown
+                    todo.add(h)
+    parent: dict[int, int] = {}
+    merges = 0
+
+    def root(a):
+        while (q := parent.get(a, a)) != a:  # path halving
+            parent[a] = a = parent.get(q, q)
+        return a
+
+    for g, h, ends, shift in edges:
+        loose = bin(ends ^ (ends & ground[g]))[:1:-1]
+        p = loose.find("1")
+        while p >= 0:
+            a, b = root(g * size + p), root(h * size + p + shift)
             if a != b:
                 parent[a] = b
                 merges += 1
-    return merges, count
+            p = loose.find("1", p + 1)
+    return sum(g.bit_count() for g in ground) + merges, count
 
 
 def _linear_rows(J: MonomialIdeal):
@@ -316,11 +321,8 @@ def tangent_dim(J: MonomialIdeal) -> TangentReport:
 
 
 def rank_agrees_with_elimination(rank: int, rows) -> bool:
-    """Audit check: ``rank``, the union-find rank that :func:`tangent_dim`
-    reported, equals fraction-free elimination on ``rows``.
-
-    ``rows`` are the rows of :func:`_linear_rows`; :func:`tangent_dim`
-    never runs elimination itself.
+    """Audit check: ``rank``, as :func:`tangent_dim` reported it, equals
+    fraction-free elimination on ``rows``, the rows of :func:`_linear_rows`.
     """
     return rank == matrix_rank(rows)
 

@@ -12,6 +12,7 @@ import itertools
 import random
 from bisect import insort
 from math import prod
+from operator import le
 
 from arevlex import (
     DomainError,
@@ -29,7 +30,7 @@ from arevlex import (
 from arevlex.hilbert import validate_degrees
 from arevlex.ideals import _expand_slice, _pommaret_raw
 from arevlex.tangent import _equation_pairs
-from arevlex.terms import raw_divides, raw_key, raw_min_var, raw_mul, raw_var
+from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
 
 
 def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -46,15 +47,22 @@ def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
 
 
 @functools.cache
-def _terms_of_degree(n: int, t: int) -> tuple[Term, ...]:
-    return tuple(enumerate_terms(n, t))
+def _terms_of_degree(n: int, t: int) -> tuple[tuple[tuple[int, ...], Term], ...]:
+    """(exponent tuple, term) for every term of degree t, built once per (n, t)."""
+    return tuple((m.exponents, m) for m in enumerate_terms(n, t))
 
 
 def brute_sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
-    """N(J)_t by definition: every degree-t term that no minimal generator divides."""
-    gens = [g.exponents for g in J.min_gens]
-    return [m for m in _terms_of_degree(J.n, t)
-            if not any(raw_divides(g, m.exponents) for g in gens)]
+    """N(J)_t by definition: every degree-t term that no minimal generator divides.
+
+    Each generator of degree <= t strikes the terms it divides, exponent by
+    exponent on the raw tuples, from what the ones before it left.
+    """
+    left = _terms_of_degree(J.n, t)
+    for g in J._raw:
+        if sum(g) <= t:
+            left = [p for p in left if not all(map(le, g, p[0]))]
+    return [m for _, m in left]
 
 
 def hom_dim(J: MonomialIdeal) -> int:

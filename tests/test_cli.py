@@ -195,6 +195,19 @@ def test_ideal_file_rejects_no_variables(tmp_path, capsys, command, nvars):
     assert err == f"error: need at least one variable, got n={nvars}\n"
 
 
+@pytest.mark.parametrize("command", ["tangent", "hilbert"])
+@pytest.mark.parametrize("gens, found", [([[2, 0], [1, 1, 0], [0, 2]], 3),
+                                         ([[2], [0, 2]], 1)])
+def test_ideal_file_rejects_a_wrong_length_generator(tmp_path, capsys, command, gens, found):
+    # one length check, in minimalize, names both variable counts
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"vars": 2, "generators": gens}))
+    code, out, err = run_cli(capsys, command, "--ideal", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: generator ")
+    assert err.endswith(f" is over {found} variables, expected 2\n")
+
+
 def test_hilbert_rejects_negative_upto(tmp_path, capsys):
     code, out, err = run_cli(capsys, "hilbert", "-d", "3,4", "--upto", "-1")
     assert code == 1 and out == ""

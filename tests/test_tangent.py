@@ -21,6 +21,7 @@ from arevlex import (
     classify_stable,
     colength,
     hc1_bounds,
+    is_strongly_stable,
     linearized_reduce,
     minimalize,
     parameters,
@@ -340,6 +341,37 @@ def test_block_kernel_equals_stream_union_find(kernel_check_ideals):
     ideals += [almost_revlex_ci(len(d), d) for d in [(4, 4, 4, 4), (3,) * 5, (8, 8, 8)]]
     for J in ideals:
         assert tangent_module._union_find_rank(J) == stream_union_find_rank(J), J
+
+
+def test_ground_closure_equals_stream_on_every_small_stable_ideal():
+    # every Artinian stable ideal with n <= 3 and colength <= 12, 30 of them
+    # stable but not strongly stable
+    ideals = artinian_stable_ideals(3, 12)
+    assert any(not is_strongly_stable(J) for J in ideals)
+    for J in ideals:
+        assert tangent_module._union_find_rank(J) == stream_union_find_rank(J), J
+
+
+def test_ground_closure_equals_stream_up_to_six_variables():
+    rng = random.Random(16061)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        J = random_strongly_stable(rng, n, rng.randint(2, 7 - n // 2), rng.randint(1, 4))
+        assert tangent_module._union_find_rank(J) == stream_union_find_rank(J), J
+
+
+@pytest.mark.parametrize("degrees", [(2,) * 8, (2, 2, 2, 3, 8)])
+def test_ground_closure_equals_stream_on_sparse_staircases(degrees):
+    # N(J) fills 1/51 and 1/4.9 of the box of its top exponents, so the
+    # layout packs it tighter than a box and a term times x_j or delta'
+    # often leaves N(J)
+    J = almost_revlex_ci(len(degrees), degrees)
+    assert tangent_module._union_find_rank(J) == stream_union_find_rank(J)
+
+
+def test_tangent_dim_at_one_point_six_million_parameters():
+    rep = tangent_dim(almost_revlex_ci(4, (8, 8, 8, 8)))
+    assert (rep.rank, rep.equation_count, rep.tangent_dim) == (1345786, 4349141, 276230)
 
 
 def test_tangent_dim_streams_no_equations(monkeypatch):
