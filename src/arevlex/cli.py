@@ -168,7 +168,9 @@ def cmd_verify(args) -> int:
         _emit(f"{name}: {status}" + (f" ({detail})" if detail else ""))
         failures += 0 if ok else 1
 
-    J = c_mod.almost_revlex_ci(n, degrees)
+    # the battery runs on the checked basis, so it derives N(J) and stability
+    # from B_J and does not read the construction's own slices
+    J = i_mod.MonomialIdeal(n, c_mod.almost_revlex_ci(n, degrees).min_gens)
     check("almost-revlex", i_mod.is_almost_revlex(J))
     H = h_mod.ci_hilbert(degrees)
     check("hilbert-match", h_mod.hf_of_ideal(J, H.top).same_function(H))

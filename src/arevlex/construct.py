@@ -5,6 +5,20 @@ degree 1, each degree t keeps the H(t) smallest terms of the first expansion
 E(N_{t-1}) as the staircase N_t and adjoins the |E(N_{t-1})| - H(t) greatest
 ones to the ideal.
 
+The loop proves its own output, so the ideal it returns skips the basis
+checks of :class:`~arevlex.ideals.MonomialIdeal` and carries its slices
+N_0..N_end and its stability verdict.  By induction on t: let I = (G_{<t}),
+the generators adjoined below degree t, be stable with N(I)_{t-1} = N_{t-1}.
+For a stable I the first expansion E(N_{t-1}) is exactly the set of
+degree-t terms outside I, so each adjoined term G_t is a minimal generator
+and N_t = N(I + (G_t))_t.  I + (G_t) is stable iff no move x_j*g/x_min(g),
+j < min(g), of a g in G_t lies in N_t (the moves of G_{<t} stay in I): one
+set lookup per move, the check that ``ideals._slices`` makes.  Passing it
+at every t proves the whole basis minimal and stable, and the kept slices
+are N(J).  The check cannot fail: a move of g is greater than g in
+degrevlex, and N_t keeps only terms below every term of G_t.  Like T >= nD
+in :mod:`arevlex.tangent` it is an invariant, raised as AssertionError.
+
 :func:`almost_revlex_ci` runs it on the complete-intersection table
 ``ci_hilbert(L)``; the paper proves that the almost revlex ideal exists there,
 by lifting it one variable at a time and adjoining -Delta^{s+1}H^[i](t) terms
@@ -26,7 +40,7 @@ from .hilbert import (
     validate_degrees,
     varrho,
 )
-from .ideals import MonomialIdeal, _expand_slice, is_almost_revlex
+from .ideals import MonomialIdeal, _expand_slice, _moves_leave, _trusted, is_almost_revlex
 from .terms import Term
 
 
@@ -47,19 +61,27 @@ def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
     H must be positive below ``end`` and vanish there, so the staircase stays
     nonempty until the last degree empties it.  Raises
     :class:`NoAlmostRevlexIdeal` at the first t with H(t) > |E(N_{t-1})|.
+    The ideal comes back with its slices N_0..N_end and stable, proved
+    degree by degree (module docstring); a move into N_t, which that proof
+    rules out, raises AssertionError.
     """
+    zero = (0,) * n
+    store = [[zero], _expand_slice([zero], n)]  # degree 1: all variables
     gens: list[tuple[int, ...]] = []
-    cur = _expand_slice([(0,) * n], n)  # degree-1 slice: all variables
     for t in range(2, end + 1):
-        exp = _expand_slice(cur, n)
+        exp = _expand_slice(store[-1], n)
         keep = H(t)
         if keep > len(exp):
             raise NoAlmostRevlexIdeal(t)
+        kept, new = exp[:keep], exp[keep:]
+        if new and _moves_leave(new, set(kept)):
+            raise AssertionError(f"a move of a degree-{t} generator lies in the staircase")
+        store.append(kept)
         # each block is increasing and of a higher degree than the last, so
         # gens stays sorted without a sort
-        gens.extend(exp[keep:])
-        cur = exp[:keep]
-    return MonomialIdeal(n, tuple(Term(g) for g in gens))
+        gens += new
+    return _trusted(n, tuple(map(Term, gens)), tuple(gens),
+                    _slice_store=store, _stable=True)
 
 
 def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:

@@ -14,8 +14,10 @@ Membership has two routes, each the only one for its inputs:
   of the n masks holds the divisors of e.  Building it is the minimality
   check of the basis (b_k is minimal iff bit k alone is set for b_k, in any
   order); :func:`minimalize` makes that check once and hands its sorted
-  basis and index to the ideal it returns.  The index serves
-  :func:`contains`, the staircase of a non-stable ideal and the
+  basis and index to the ideal it returns.  The greedy construction proves
+  its basis another way (see :mod:`arevlex.construct`), so its ideal
+  builds the index only when something asks for divisibility.  The index
+  serves :func:`contains`, the staircase of a non-stable ideal and the
   quasi-stability predicate.
 * A lookup in B_J (``_gen_index``) decides membership in the expansion of
   a stable staircase, and ``MonomialIdeal._head`` walks down from a term by
@@ -39,9 +41,10 @@ move shows J is not stable, and later slices ask ``_Divisors``; reaching
 the top generator degree shows J is stable.  So every path that reads the
 slices gets the verdict for one set per generator degree, not one head
 walk per move.  :func:`sous_escalier` and the Hilbert function of a
-quotient read the slices.  The construction runs the same expansion,
-keeping a prescribed number of the smallest terms per degree instead of
-filtering by J.
+quotient read the slices.  The construction runs the same expansion and
+move check, keeping a prescribed number of the smallest terms per degree
+instead of filtering by J, and hands the ideal it builds its slices and
+its stable verdict, so N(J) of a constructed ideal is expanded once.
 
 Two positional indexes are built once per ideal, on first use, and
 cached.  ``_gen_index`` maps each generator to its place in B_J; it is also
@@ -139,6 +142,12 @@ class MonomialIdeal:
                 raise DomainError(f"basis not minimal: {a} divides {b}")
         self.__dict__["_raw"] = raw
         self.__dict__["_divisors"] = index
+
+    @cached_property
+    def _divisors(self) -> _Divisors:
+        # built by the basis check, or on first use for a basis that its
+        # builder proved minimal (see _trusted)
+        return _Divisors(self._raw)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -279,10 +288,20 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
         distinct = [g for g, keep in zip(distinct, minimal) if keep]
         raw = tuple(g.exponents for g in distinct)
         index = _Divisors(raw)
-    # sorted, distinct and minimal by construction: the basis checks of
-    # MonomialIdeal would only repeat the work above
+    return _trusted(nv, tuple(distinct), raw, _divisors=index)
+
+
+def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...],
+             **derived) -> MonomialIdeal:
+    """The ideal on a basis that its builder proved sorted, distinct and minimal.
+
+    Skips the basis checks of :class:`MonomialIdeal`, which would only repeat
+    that proof, and seeds the cached data the builder already holds
+    (``_divisors``, ``_slice_store``, ``_stable``).  Only :func:`minimalize`
+    and the greedy construction call it.
+    """
     J = object.__new__(MonomialIdeal)
-    J.__dict__.update(n=nv, min_gens=tuple(distinct), _raw=raw, _divisors=index)
+    J.__dict__.update(n=n, min_gens=min_gens, _raw=raw, **derived)
     return J
 
 

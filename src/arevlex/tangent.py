@@ -65,7 +65,7 @@ from .ideals import (
     is_strongly_stable,
 )
 from .linalg import rank as matrix_rank
-from .terms import Term, raw_min_var, raw_mul, raw_var
+from .terms import Term, raw_min_var
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,11 @@ def _blocks(J: MonomialIdeal):
     variable; x_j*gens[gi] = x^alpha' * x^delta' is its head decomposition
     and ai = index of alpha' in B_J.  Order: generator-major, then variable.
     """
+    index = J._gen_index
     for gi, g in enumerate(J._raw):
         for j in range(1, raw_min_var(g)):
-            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(J.n, j), g))
-            yield gi, J._gen_index[alpha], j, delta
+            alpha, delta = _pommaret_raw(J, g[: j - 1] + (g[j - 1] + 1,) + g[j:])
+            yield gi, index[alpha], j, delta
 
 
 def _equation_pairs(J: MonomialIdeal):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
-from operator import neg
+from operator import add, neg, sub
 
 from .errors import DimensionError, DomainError
 
@@ -45,7 +45,7 @@ def raw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def raw_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def raw_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -56,7 +56,7 @@ def raw_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def raw_quotient(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(sub, b, a))
 
 
 def raw_min_var(e: tuple[int, ...]) -> int:

@@ -438,6 +438,21 @@ def tangent_check_ideals() -> list[MonomialIdeal]:
     return ideals
 
 
+def raw_mul_blocks(J: MonomialIdeal) -> list[tuple]:
+    """(gi, ai, j, delta') for every block (gi, j), the reference for ``tangent._blocks``.
+
+    Forms x_j*g as ``raw_mul(raw_var(n, j), g)``, as the audit oracle
+    ``marked_reduction.full_reduce`` does, and splits it by its head.
+    """
+    where = {g: i for i, g in enumerate(J._raw)}
+    out = []
+    for gi, g in enumerate(J._raw):
+        for j in range(1, raw_min_var(g)):
+            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(J.n, j), g))
+            out.append((gi, where[alpha], j, delta))
+    return out
+
+
 def stream_union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     """(rank, equation count) by union-find over the streamed column pairs.
 

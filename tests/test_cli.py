@@ -418,6 +418,50 @@ def test_tangent_below_main_component_is_an_invariant_failure(capsys, monkeypatc
     assert "internal invariant failure" in err
 
 
+def test_construction_move_check_is_an_invariant_failure(capsys, monkeypatch):
+    # the greedy proves its basis by one move check per degree, which cannot
+    # fail; a failing one is an internal fault and exits 2, also under -O
+    from arevlex import construct as construct_module
+
+    monkeypatch.setattr(construct_module, "_moves_leave", lambda gens, outside: True)
+    with pytest.raises(AssertionError):
+        construct_module.almost_revlex_ci(3, (3, 4, 4))
+    code, out, err = run_cli(capsys, "construct", "-d", "3,4,4")
+    assert code == 2
+    assert "internal invariant failure" in err
+    assert out == ""
+    script = ("import sys; from arevlex import construct, cli; "
+              "construct._moves_leave = lambda gens, outside: True; "
+              "sys.exit(cli.main(['construct', '-d', '3,4,4']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert proc.returncode == 2
+    assert "internal invariant failure" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("degrees", ["3,4,4", "2,2,2,2"])
+def test_verify_derives_the_staircase_from_the_basis(capsys, monkeypatch, degrees):
+    # the battery runs on the checked basis, so slices handed over by the
+    # construction are never read: dropping a term from one changes nothing
+    from arevlex import construct as construct_module
+
+    expected = run_cli(capsys, "verify", "-d", degrees)
+    build = construct_module.almost_revlex_ci
+
+    def corrupted(n, degs):
+        J = build(n, degs)
+        store = J.__dict__["_slice_store"]
+        store[2] = store[2][1:]
+        return J
+
+    monkeypatch.setattr(construct_module, "almost_revlex_ci", corrupted)
+    code, out, err = run_cli(capsys, "verify", "-d", degrees)
+    assert (code, out, err) == expected
+    assert code == 0
+    assert "hilbert-match: ok" in out.splitlines()
+
+
 def test_verify_under_optimize_flag():
     outputs = []
     for flags in ([], ["-O"]):

@@ -16,6 +16,7 @@ from arevlex import (
     border_generator_count,
     c_index,
     ci_hilbert,
+    colength,
     first_expansion,
     greatest,
     hf_of_ideal,
@@ -26,6 +27,7 @@ from arevlex import (
     sous_escalier,
     term,
 )
+from arevlex.ideals import MonomialIdeal, _slices
 
 from helpers import ci_degree_grid, curve_ideal, paper_lift_ci
 
@@ -80,16 +82,32 @@ def test_construction_validates():
         almost_revlex_ci(2, (1, 3))
 
 
+def assert_handover_matches_checked(J):
+    # the greedy hands its ideal its slices and a stable verdict; the checked
+    # constructor on the same basis derives both from B_J alone
+    store = J.__dict__["_slice_store"]
+    K = MonomialIdeal(J.n, J.min_gens)
+    assert "_slice_store" not in K.__dict__ and "_stable" not in K.__dict__
+    assert _slices(K, len(store) - 1) == store, J
+    assert J.__dict__["_stable"] is K._stable is True, J
+    assert hf_of_ideal(J, 0) == hf_of_ideal(K, 0), J
+    assert colength(J) == colength(K), J
+    assert is_almost_revlex(J) and is_almost_revlex(K), J
+
+
 def test_greedy_from_table_equals_ci_route():
     for degs in [(3, 4, 4), (2, 2, 2), (2, 3, 5), (2, 2, 2, 3)]:
         n = len(degs)
         H = ci_hilbert(degs)
         assert almost_revlex_for(H) == almost_revlex_ci(n, degs)
-    # the production greedy against the paper's variable-by-variable lift
+    # the production greedy against the paper's variable-by-variable lift,
+    # and its handed-over staircase against the one B_J gives
     grid = list(ci_degree_grid(5, 2, 8, 5000))
     assert len(grid) == 679
     for degs in grid:
-        assert almost_revlex_ci(len(degs), degs) == paper_lift_ci(len(degs), degs), degs
+        J = almost_revlex_ci(len(degs), degs)
+        assert J == paper_lift_ci(len(degs), degs), degs
+        assert_handover_matches_checked(J)
 
 
 def test_greedy_failure_reports_degree():
@@ -182,4 +200,6 @@ def test_greedy_rebuilds_every_enumerated_almost_revlex_ideal():
         table = HilbertFunction(values, Eventual("zero"))
         if table(1) != n:
             continue  # tables with degree-1 generators fix a smaller ring
-        assert almost_revlex_for(table) == J
+        rebuilt = almost_revlex_for(table)
+        assert rebuilt == J
+        assert_handover_matches_checked(rebuilt)

@@ -43,6 +43,7 @@ from helpers import (
     ci_degree_grid,
     hom_dim,
     random_strongly_stable,
+    raw_mul_blocks,
     stream_union_find_rank,
     tangent_check_ideals,
     untruncated_oracle_rows,
@@ -341,6 +342,12 @@ def test_block_kernel_equals_stream_union_find(kernel_check_ideals):
     ideals += [almost_revlex_ci(len(d), d) for d in [(4, 4, 4, 4), (3,) * 5, (8, 8, 8)]]
     for J in ideals:
         assert tangent_module._union_find_rank(J) == stream_union_find_rank(J), J
+
+
+def test_blocks_equal_the_raw_mul_route(kernel_check_ideals):
+    # _blocks builds x_j*g in place; the reference multiplies by raw_var(n, j)
+    for J in [*kernel_check_ideals, almost_revlex_ci(3, (8, 8, 8))]:
+        assert list(tangent_module._blocks(J)) == raw_mul_blocks(J), J
 
 
 def test_ground_closure_equals_stream_on_every_small_stable_ideal():

@@ -20,6 +20,7 @@ from arevlex import (
     term_to_text,
     variable,
 )
+from arevlex.terms import raw_mul, raw_quotient
 
 
 def rand_term(rng, n, maxdeg=8):
@@ -138,3 +139,15 @@ def test_text_and_json_roundtrip():
 def test_term_validation():
     with pytest.raises(DomainError):
         Term((1, -1))
+
+
+def test_raw_arithmetic_is_elementwise():
+    rng = random.Random(1717)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        a, b = (tuple(rng.choice((0, rng.randint(0, 9))) for _ in range(n)) for _ in "ab")
+        total = raw_mul(a, b)
+        assert type(total) is tuple
+        assert total == tuple(a[i] + b[i] for i in range(n))
+        assert raw_quotient(total, a) == b and raw_quotient(total, b) == a
+        assert raw_quotient(a, b) == tuple(a[i] - b[i] for i in range(n))
