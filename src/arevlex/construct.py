@@ -5,19 +5,26 @@ degree 1, each degree t keeps the H(t) smallest terms of the first expansion
 E(N_{t-1}) as the staircase N_t and adjoins the |E(N_{t-1})| - H(t) greatest
 ones to the ideal.
 
-The loop proves its own output, so the ideal it returns skips the basis
-checks of :class:`~arevlex.ideals.MonomialIdeal` and carries its slices
-N_0..N_end and its stability verdict.  By induction on t: let I = (G_{<t}),
-the generators adjoined below degree t, be stable with N(I)_{t-1} = N_{t-1}.
-For a stable I the first expansion E(N_{t-1}) is exactly the set of
-degree-t terms outside I, so each adjoined term G_t is a minimal generator
-and N_t = N(I + (G_t))_t.  I + (G_t) is stable iff no move x_j*g/x_min(g),
-j < min(g), of a g in G_t lies in N_t (the moves of G_{<t} stay in I): one
-set lookup per move, the check that ``ideals._slices`` makes.  Passing it
-at every t proves the whole basis minimal and stable, and the kept slices
-are N(J).  The check cannot fail: a move of g is greater than g in
-degrevlex, and N_t keeps only terms below every term of G_t.  Like T >= nD
-in :mod:`arevlex.tangent` it is an invariant, raised as AssertionError.
+The loop runs on the integer codes of :mod:`arevlex.ideals` under the
+bound M = end, which no term through degree end exceeds, and decodes only
+the generators it adjoins.  It proves its own output, so the ideal it
+returns skips the basis checks of :class:`~arevlex.ideals.MonomialIdeal`
+and carries its coded slices N_0..N_end, their codec and its stability
+verdict.  As x_n^end is the top pure power, slices rebuilt from B_J alone
+get the same bound and the same codes.
+
+By induction on t: let I = (G_{<t}), the generators adjoined below degree
+t, be stable with N(I)_{t-1} = N_{t-1}.  For a stable I the first
+expansion E(N_{t-1}) is exactly the set of degree-t terms outside I, so
+each adjoined term G_t is a minimal generator and N_t = N(I + (G_t))_t.
+I + (G_t) is stable iff no move x_j*g/x_min(g), j < min(g), of a g in G_t
+lies in N_t (the moves of G_{<t} stay in I): a lookup of their codes,
+the check that ``ideals._slices`` makes.  Passing it at every t
+proves the whole basis minimal and stable, and the kept slices are N(J).
+The check cannot fail: a move of g is greater than g in degrevlex, and N_t
+keeps only terms below every term of G_t.  Like T >= nD in
+:mod:`arevlex.tangent` it is an invariant, raised as AssertionError, and
+so is the almost revlex check of :func:`almost_revlex_for`.
 
 :func:`almost_revlex_ci` runs it on the complete-intersection table
 ``ci_hilbert(L)``; the paper proves that the almost revlex ideal exists there,
@@ -40,7 +47,14 @@ from .hilbert import (
     validate_degrees,
     varrho,
 )
-from .ideals import MonomialIdeal, _expand_slice, _moves_leave, _trusted, is_almost_revlex
+from .ideals import (
+    MonomialIdeal,
+    _Codec,
+    _expand_slice,
+    _moves_leave,
+    _trusted,
+    is_almost_revlex,
+)
 from .terms import Term
 
 
@@ -65,23 +79,24 @@ def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
     degree by degree (module docstring); a move into N_t, which that proof
     rules out, raises AssertionError.
     """
-    zero = (0,) * n
-    store = [[zero], _expand_slice([zero], n)]  # degree 1: all variables
-    gens: list[tuple[int, ...]] = []
+    codec = _Codec(n, end)  # no term through degree end has a larger exponent
+    store = [[codec.top], _expand_slice([codec.top], codec)]  # degree 1: all variables
+    gens: list[int] = []
     for t in range(2, end + 1):
-        exp = _expand_slice(store[-1], n)
+        exp = _expand_slice(store[-1], codec)
         keep = H(t)
         if keep > len(exp):
             raise NoAlmostRevlexIdeal(t)
         kept, new = exp[:keep], exp[keep:]
-        if new and _moves_leave(new, set(kept)):
+        if new and _moves_leave(new, kept, codec):
             raise AssertionError(f"a move of a degree-{t} generator lies in the staircase")
         store.append(kept)
         # each block is increasing and of a higher degree than the last, so
         # gens stays sorted without a sort
         gens += new
-    return _trusted(n, tuple(map(Term, gens)), tuple(gens),
-                    _slice_store=store, _stable=True)
+    raw = tuple(codec.decode(gens))
+    return _trusted(n, tuple(map(Term, raw)), raw,
+                    _codec=codec, _slice_store=store, _stable=True)
 
 
 def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:
@@ -116,7 +131,9 @@ def almost_revlex_for(H: HilbertFunction) -> MonomialIdeal:
 
     J = _greedy(n, H, end)
     if not is_almost_revlex(J):
-        raise DomainError("greedy result failed the almost revlex check")
+        # the greedy keeps the smallest terms of each expansion, so this
+        # cannot fail: a failure is an internal fault
+        raise AssertionError("greedy result failed the almost revlex check")
     return J
 
 

@@ -19,9 +19,8 @@ Membership has two routes, each the only one for its inputs:
   builds the index only when something asks for divisibility.  The index
   serves :func:`contains`, the staircase of a non-stable ideal and the
   quasi-stability predicate.
-* A lookup in B_J (``_gen_index``) decides membership in the expansion of
-  a stable staircase, and ``MonomialIdeal._head`` walks down from a term by
-  its smallest variable until it meets B_J; for a stable J this finds the
+* ``MonomialIdeal._head`` walks down from a term by its smallest variable
+  until it meets B_J (``_gen_index``); for a stable J this finds the
   head alpha of the unique decomposition tau = alpha*delta (P(J) = B_J) in
   O(deg tau) lookups, or shows tau is outside J.  The walk serves the
   strong stability predicate, the head decomposition and, through it, the
@@ -30,25 +29,37 @@ Membership has two routes, each the only one for its inputs:
 The staircase N(J) of every monomial ideal comes from one recursion,
 N(J)_t = E(N(J)_{t-1}) \\ J (``_slices``): N(J) is an order ideal, so a
 term of degree t outside J has its cofactor m/x_{min(m)} in N(J)_{t-1}.
-The expansion itself needs no membership test: block v, x_v times the
-terms whose smallest variable is x_v or above, multiplies a suffix of the
-sorted slice (``_expand_slice``).  The same recursion decides stability
-(B_J is a Pommaret basis iff J is stable).  While the generators of degree
-< t are stable under their moves x_j*g/x_min(g), only generators of degree
-t meet the expansion, so a lookup in B_J decides, and the degree-t moves
-lie in J iff they are not in the exact slice N(J)_t.  The first failing
-move shows J is not stable, and later slices ask ``_Divisors``; reaching
-the top generator degree shows J is stable.  So every path that reads the
-slices gets the verdict for one set per generator degree, not one head
-walk per move.  :func:`sous_escalier` and the Hilbert function of a
-quotient read the slices.  The construction runs the same expansion and
-move check, keeping a prescribed number of the smallest terms per degree
-instead of filtering by J, and hands the ideal it builds its slices and
-its stable verdict, so N(J) of a constructed ideal is expanded once.
+The recursion runs on integer codes (``_Codec``).  Given a bound M on
+every exponent it reaches and R = M + 1, code(e) = sum_v (M - e_v)*R^(v-1):
+within a degree, increasing code is increasing degrevlex, x_i*e is
+code(e) - R^(i-1), and the terms free of x_{v+1..n} are the codes at or
+above sum_{u>v} M*R^(u-1).  So block v of the expansion, x_v times the
+terms whose smallest variable is x_v or above, is one subtraction over a
+suffix that one ``bisect`` finds (``_expand_slice``).  An Artinian J takes
+M = its largest pure-power exponent (reg, for a stable J), which bounds
+every degree; any other J takes M from the degree asked for, and a later
+request past M recodes the cached slices under a larger M.
+
+The same recursion decides stability (B_J is a Pommaret basis iff J is
+stable).  While I = (B_J in degrees < t) is stable, E(N(J)_{t-1}) is every
+degree-t term outside I; those in J are I's or a degree-t generator, so
+the degree-t generators, each outside I, are exactly the expanded terms in
+J, and a ``bisect`` per generator removes them (one not found is an
+invariant failure).  I + (degree-t generators) stays stable iff no move
+x_j*g/x_min(g) of those generators, code(g) - R^(j-1) + R^(min(g)-1),
+lies in the exact slice N(J)_t.  The first failing move shows J is not
+stable, and later slices decode their terms and ask ``_Divisors``;
+reaching the top generator degree shows J is stable.  The construction
+runs the same expansion and move check, keeping a prescribed number of
+the smallest codes per degree instead of filtering by J, and hands the
+ideal it builds its slices, codec and stable verdict, so N(J) of a
+constructed ideal is expanded once.  The Hilbert function counts the
+coded slices; :func:`sous_escalier`, :func:`first_expansion` and
+``_staircase`` decode them.
 
 Two positional indexes are built once per ideal, on first use, and
 cached.  ``_gen_index`` maps each generator to its place in B_J; it is also
-the set that the head walk and the stable staircase look terms up in.
+the set that the head walk looks terms up in.
 ``_staircase``, for an Artinian J only, maps each term of N(J) to its
 place in degree-major increasing degrevlex order, read from the slices
 through the first empty one, which may lie past the top generator degree
@@ -62,6 +73,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
+from operator import mul
 
 from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
@@ -115,6 +128,38 @@ class _Divisors:
         return bool(self.below(e))
 
     __contains__ = divides
+
+
+class _Codec:
+    """Order-preserving integer codes of the terms in n variables with exponents <= M.
+
+    With R = M + 1, code(e) = sum_v (M - e_v) * R^(v-1), which is
+    R^n - 1 - sum_v e_v * R^(v-1): x_n gives the most significant digit.
+    Within one degree, increasing code is increasing degrevlex (the last
+    differing exponent decides both), and x_i*e has code code(e) - R^(i-1)
+    (``steps``).  The terms free of x_{v+1..n} are exactly the codes at or
+    above ``floors[v-1]`` = sum_{u>v} M * R^(u-1) = R^n - R^v.
+    """
+
+    __slots__ = ("M", "R", "top", "steps", "floors")
+
+    def __init__(self, n: int, M: int):
+        R = M + 1
+        self.M, self.R = M, R
+        self.top = R**n - 1  # the code of the constant term
+        self.steps = [R**v for v in range(n)]
+        self.floors = [R**n - R * s for s in self.steps]
+
+    def encode(self, terms: Sequence[tuple[int, ...]]) -> list[int]:
+        """The codes of a list of exponent tuples."""
+        top, steps = self.top, self.steps
+        return [top - sum(map(mul, e, steps)) for e in terms]
+
+    def decode(self, codes: list[int]) -> list[tuple[int, ...]]:
+        """The exponent tuples of a list of codes, one pass per variable."""
+        top, R = self.top, self.R
+        rest = [top - c for c in codes]
+        return list(zip(*[[x // step % R for x in rest] for step in self.steps]))
 
 
 @dataclass(frozen=True, eq=True)
@@ -195,7 +240,8 @@ class MonomialIdeal:
         """{m: its position in N(J)}, degree-major increasing degrevlex, for Artinian J."""
         if not self.is_artinian:
             raise DomainError("the staircase index requires an Artinian ideal")
-        return {m: i for i, m in enumerate(m for sl in _socle_slices(self, 0) for m in sl)}
+        slices = _socle_slices(self, 0)
+        return dict(zip(self._codec.decode(list(chain.from_iterable(slices))), count()))
 
     def _head(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
         """The head alpha in B_J of e in a stable J, or None when e is not in J.
@@ -297,8 +343,8 @@ def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...
 
     Skips the basis checks of :class:`MonomialIdeal`, which would only repeat
     that proof, and seeds the cached data the builder already holds
-    (``_divisors``, ``_slice_store``, ``_stable``).  Only :func:`minimalize`
-    and the greedy construction call it.
+    (``_divisors``, or ``_codec``, ``_slice_store`` and ``_stable``).  Only
+    :func:`minimalize` and the greedy construction call it.
     """
     J = object.__new__(MonomialIdeal)
     J.__dict__.update(n=n, min_gens=min_gens, _raw=raw, **derived)
@@ -320,78 +366,133 @@ def sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
     """N(J)_t: the degree-t terms outside J, increasing degrevlex."""
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    return [Term(e) for e in _slices(J, t)[t]]
+    sl = _slices(J, t)[t]
+    return [Term(e) for e in J._codec.decode(sl)]
 
 
-def _expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """First expansion of an increasing same-degree list of terms.
+def _expand_slice(slice_t: list[int], codec: _Codec) -> list[int]:
+    """First expansion of an increasing same-degree list of codes.
 
     E(N_t) is the disjoint union over v = n..1 of x_v * {tau : min(tau) >=
-    x_v}.  In an increasing same-degree list every term divisible by a
-    variable below x_v precedes every term that is not: the difference of
-    two such terms has its last nonzero entry past position v, positive for
-    the one divisible there, which is therefore smaller.  So block v is x_v
-    times a suffix of the list, the suffixes shrink as v falls, and one
-    forward scan finds where each starts.  Each block is sorted because the
-    list is, and its terms have minimal variable x_v, so block v precedes
-    block v-1 and plain concatenation is sorted.
+    x_v}.  Block v is x_v times the codes at or above the floor of v, one
+    ``bisect`` each, so the suffixes shrink as v falls.  Each block is sorted
+    because the list is, and its terms have minimal variable x_v, so block v
+    precedes block v-1 and plain concatenation is sorted.
     """
-    out: list[tuple[int, ...]] = []
-    start, size = 0, len(slice_t)
-    for i in range(n - 1, -1, -1):
-        out += [tau[:i] + (tau[i] + 1,) + tau[i + 1 :] for tau in slice_t[start:]]
-        # drop the terms divisible by x_{i+1} from the suffix
-        while start < size and slice_t[start][i]:
-            start += 1
+    out: list[int] = []
+    for step, floor in zip(reversed(codec.steps), reversed(codec.floors)):
+        suffix = slice_t[bisect_left(slice_t, floor):]
+        if not suffix:
+            break
+        out += [c - step for c in suffix]
     return out
 
 
-def _slices(J: MonomialIdeal, upto: int) -> list[list[tuple[int, ...]]]:
-    """Sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
+def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
+    """Coded sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
 
     Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
     (see the module docstring): the verdict lands in ``J._stable`` at the
-    first failing move or at the top generator degree.  The computed prefix
-    is cached on the ideal and only extended.  Agreement with the
-    definitions is pinned by tests.
+    first failing move or at the top generator degree.  The codes are those
+    of ``J._codec``; the computed prefix is cached on the ideal and only
+    extended; a non-Artinian J asked past the codec's bound recodes it under
+    a larger one.  Agreement with the definitions is pinned by tests.
     """
     store = J.__dict__.get("_slice_store")
     if store is None:
-        zero = (0,) * J.n
-        store = J.__dict__["_slice_store"] = [[] if zero in J._gen_index else [zero]]
-        if not J._raw or not sum(J._raw[-1]):
+        codec = J.__dict__["_codec"] = _Codec(J.n, _bound(J, upto))
+        unit = bool(J._raw) and not sum(J._raw[0])  # B_J = {1}
+        store = J.__dict__["_slice_store"] = [[] if unit else [codec.top]]
+        if not J._raw or unit:
             J.__dict__["_stable"] = True
+    elif upto > J._codec.M and not J.is_artinian:
+        # recode the slices so far under a bound at least twice as large
+        old, codec = J._codec, _Codec(J.n, max(upto, 2 * J._codec.M))
+        store[:] = [codec.encode(old.decode(sl)) for sl in store]
+        J.__dict__["_codec"] = codec
+    codec = J._codec
     raw = J._raw
+    hi = bisect_left(raw, len(store), key=sum)
     for t in range(len(store), upto + 1):
         stable = J.__dict__.get("_stable")  # None while undecided
-        inside = J._divisors if stable is False else J._gen_index
-        sl = [m for m in _expand_slice(store[-1], J.n) if m not in inside]
+        exp = _expand_slice(store[-1], codec)
+        if stable is False:
+            below = J._divisors.below
+            store.append([c for c, e in zip(exp, codec.decode(exp)) if not below(e)])
+            continue
+        lo = hi  # raw[lo:hi] is B_J in degree t
+        while hi < len(raw) and sum(raw[hi]) == t:
+            hi += 1
+        gens = codec.encode(raw[lo:hi])
+        sl = _remove_sorted(exp, gens)
         store.append(sl)
         if stable is None:
-            lo = bisect_left(raw, t, key=sum)
-            hi = bisect_left(raw, t + 1, lo, key=sum)
-            if hi > lo and _moves_leave(raw[lo:hi], set(sl)):
+            if gens and _moves_leave(gens, sl, codec):
                 J.__dict__["_stable"] = False
             elif hi == len(raw):
                 J.__dict__["_stable"] = True
     return store[: upto + 1]
 
 
-def _moves_leave(gens, outside) -> bool:
-    """True iff some move x_j*g/x_min(g), j < min(g), of a generator lies in ``outside``."""
-    for g in gens:
-        k = raw_min_var(g)
-        moved = list(g)
-        moved[k - 1] -= 1
-        for j in range(k - 1):
-            moved[j] += 1
-            if tuple(moved) in outside:
-                return True
-            moved[j] -= 1
+def _bound(J: MonomialIdeal, upto: int) -> int:
+    """The exponent bound M of J's codec for the slices through degree ``upto``.
+
+    An Artinian J keeps every exponent of its expansions at or below its
+    largest pure power, in every degree, and no other generator has an
+    exponent that large; otherwise a degree-t term has no exponent above t,
+    and the first M covers the top generator degree as well, which the
+    stability verdict reaches.
+    """
+    if J.is_artinian:
+        return max(map(max, J._raw))
+    return max(upto, sum(J._raw[-1]) if J._raw else 0)
+
+
+def _remove_sorted(exp: list[int], gens: list[int]) -> list[int]:
+    """The increasing codes ``exp`` without ``gens``, which all lie in it, in order."""
+    if not gens:
+        return exp
+    out: list[int] = []
+    lo = 0
+    for c in gens:
+        i = bisect_left(exp, c, lo)
+        if i == len(exp) or exp[i] != c:
+            raise AssertionError("a generator of a stable-so-far ideal is missing "
+                                 "from the first expansion")
+        out += exp[lo:i]
+        lo = i + 1
+    out += exp[lo:]
+    return out
+
+
+def _moves_leave(gens: list[int], outside: list[int], codec: _Codec) -> bool:
+    """True iff some move x_j*g/x_min(g), j < min(g), of a generator lies in ``outside``.
+
+    ``gens`` and ``outside`` are increasing codes of one degree.  The
+    generators with smallest variable x_{k+1} lie between two floors, and
+    each move adds one shift to all of them; a shifted group whose least
+    code lies above ``outside`` misses it, and any other is looked up in a
+    set of ``outside``.
+    """
+    if not outside:
+        return False
+    steps, floors, top = codec.steps, codec.floors, outside[-1]
+    members = None
+    for k in range(1, len(steps)):
+        group = gens[bisect_left(gens, floors[k]) : bisect_left(gens, floors[k - 1])]
+        if group:
+            for step in steps[:k]:
+                shift = steps[k] - step
+                if group[0] + shift > top:
+                    continue
+                if members is None:
+                    members = set(outside)
+                if not members.isdisjoint([c + shift for c in group]):
+                    return True
     return False
 
 
-def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[tuple[int, ...]]]:
+def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[int]]:
     """Slices of an Artinian J through ``up_to`` and through the first empty one.
 
     N(J)_{reg-1} holds the cofactor of a top-degree generator, so the first
@@ -410,7 +511,8 @@ def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
         raise StabilityError("first_expansion requires a stable ideal")
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    return [Term(e) for e in _expand_slice(_slices(J, t)[t], J.n)]
+    sl = _slices(J, t + 1)[t]  # the codec then reaches degree t+1
+    return [Term(e) for e in J._codec.decode(_expand_slice(sl, J._codec))]
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +557,9 @@ def is_almost_revlex(J: MonomialIdeal) -> bool:
         return False
     reg = J.max_gen_degree()
     slices = _slices(J, reg)
-    for g in J._raw:
+    for g, c in zip(J._raw, J._codec.encode(J._raw)):
         sl = slices[sum(g)]
-        if sl and raw_cmp(sl[-1], g) > 0:
+        if sl and sl[-1] > c:
             return False
     return True
 
@@ -470,10 +572,11 @@ def is_revlex_ideal(J: MonomialIdeal) -> bool:
         return False
     reg = J.max_gen_degree()
     slices = _slices(J, reg)
+    decode = J._codec.decode
     # J_t is a segment iff N(J)_t is exactly the bottom of the degree slice.
     for t in range(reg + 1):
         bottom = [m.exponents for m in enumerate_terms(J.n, t)[: len(slices[t])]]
-        if bottom != slices[t]:
+        if bottom != decode(slices[t]):
             return False
     return True
 

@@ -28,9 +28,28 @@ from arevlex import (
     minimalize,
 )
 from arevlex.hilbert import validate_degrees
-from arevlex.ideals import _expand_slice, _pommaret_raw
+from arevlex.ideals import _pommaret_raw
 from arevlex.tangent import _equation_pairs
 from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
+
+
+def raw_expand_slice(slice_t: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """First expansion of an increasing same-degree list of exponent tuples.
+
+    The reference for the coded ``ideals._expand_slice``.  Block v, x_v times
+    the terms whose smallest variable is x_v or above, multiplies a suffix of
+    the list: every term divisible by a variable below x_v precedes every
+    term that is not.  One forward scan finds where each suffix starts, and
+    the blocks for v = n..1 concatenate in increasing order.
+    """
+    out: list[tuple[int, ...]] = []
+    start, size = 0, len(slice_t)
+    for i in range(n - 1, -1, -1):
+        out += [tau[:i] + (tau[i] + 1,) + tau[i + 1 :] for tau in slice_t[start:]]
+        # drop the terms divisible by x_{i+1} from the suffix
+        while start < size and slice_t[start][i]:
+            start += 1
+    return out
 
 
 def brute_first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
@@ -400,7 +419,7 @@ def paper_lift_ci(n: int, degrees) -> MonomialIdeal:
         inside = set(gens)
         cur = [(0,) * i]
         for _ in range(d_i):
-            cur = [m for m in _expand_slice(cur, i) if m not in inside]
+            cur = [m for m in raw_expand_slice(cur, i) if m not in inside]
         # single greatest term completes degree d_i
         gens.append(cur[-1])
         cur = cur[:-1]
@@ -408,7 +427,7 @@ def paper_lift_ci(n: int, degrees) -> MonomialIdeal:
             if not cur:
                 break  # ideal already Artinian-complete; nothing outside to expand
             s = i - min(raw_min_var(m) for m in cur)
-            exp = _expand_slice(cur, i)
+            exp = raw_expand_slice(cur, i)
             h = -derivative(H, s + 1)(t)
             if h < 0:
                 raise NoAlmostRevlexIdeal(t)

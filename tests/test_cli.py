@@ -423,7 +423,7 @@ def test_construction_move_check_is_an_invariant_failure(capsys, monkeypatch):
     # fail; a failing one is an internal fault and exits 2, also under -O
     from arevlex import construct as construct_module
 
-    monkeypatch.setattr(construct_module, "_moves_leave", lambda gens, outside: True)
+    monkeypatch.setattr(construct_module, "_moves_leave", lambda gens, outside, codec: True)
     with pytest.raises(AssertionError):
         construct_module.almost_revlex_ci(3, (3, 4, 4))
     code, out, err = run_cli(capsys, "construct", "-d", "3,4,4")
@@ -431,7 +431,7 @@ def test_construction_move_check_is_an_invariant_failure(capsys, monkeypatch):
     assert "internal invariant failure" in err
     assert out == ""
     script = ("import sys; from arevlex import construct, cli; "
-              "construct._moves_leave = lambda gens, outside: True; "
+              "construct._moves_leave = lambda gens, outside, codec: True; "
               "sys.exit(cli.main(['construct', '-d', '3,4,4']))")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=SUBPROCESS_ENV)
@@ -452,6 +452,7 @@ def test_verify_derives_the_staircase_from_the_basis(capsys, monkeypatch, degree
     def corrupted(n, degs):
         J = build(n, degs)
         store = J.__dict__["_slice_store"]
+        assert all(type(c) is int for c in store[2])  # the coded slice
         store[2] = store[2][1:]
         return J
 

@@ -83,12 +83,14 @@ def test_construction_validates():
 
 
 def assert_handover_matches_checked(J):
-    # the greedy hands its ideal its slices and a stable verdict; the checked
-    # constructor on the same basis derives both from B_J alone
+    # the greedy hands its ideal its coded slices and a stable verdict; the
+    # checked constructor on the same basis derives both from B_J alone,
+    # under the same exponent bound M = reg
     store = J.__dict__["_slice_store"]
     K = MonomialIdeal(J.n, J.min_gens)
     assert "_slice_store" not in K.__dict__ and "_stable" not in K.__dict__
     assert _slices(K, len(store) - 1) == store, J
+    assert K._codec.M == J._codec.M == len(store) - 1 == J.max_gen_degree(), J
     assert J.__dict__["_stable"] is K._stable is True, J
     assert hf_of_ideal(J, 0) == hf_of_ideal(K, 0), J
     assert colength(J) == colength(K), J
@@ -121,6 +123,16 @@ def test_greedy_power_table():
     for d in (2, 5, 9):
         H = HilbertFunction((1,) * d + (0,), Eventual("zero"))
         assert almost_revlex_for(H).min_gens == (term(d),)
+
+
+def test_almost_revlex_check_of_the_greedy_is_an_invariant_failure(monkeypatch):
+    # the greedy's output is almost revlex by construction, so a failing
+    # check is an internal fault, raised whatever the optimization level
+    import arevlex.construct as construct_module
+
+    monkeypatch.setattr(construct_module, "is_almost_revlex", lambda J: False)
+    with pytest.raises(AssertionError, match="almost revlex check"):
+        almost_revlex_for(ci_hilbert((3, 4, 4)))
 
 
 def test_greedy_validates_table():

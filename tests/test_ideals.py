@@ -260,11 +260,33 @@ def test_sous_escalier_fast_path_agrees_with_filter():
         else:
             top = (0 if J.is_zero else J.max_gen_degree()) + 3
         slices = _slices(J, top) if is_stable(J) else None
+        decode = J._codec.decode
         for t in range(top + 1):
             want = brute_sous_escalier(J, t)
             assert sous_escalier(J, t) == want, (J, t)
             if slices is not None:
-                assert [Term(e) for e in slices[t]] == want, (J, t)
+                assert [Term(e) for e in decode(slices[t])] == want, (J, t)
+
+
+def test_non_artinian_slices_recode_past_the_exponent_bound():
+    # a non-Artinian J codes its slices under a bound taken from the degree
+    # asked for; asking past it recodes the store under a larger one, on
+    # (x1, x2^k), which is stable, and on (x2^k), which is not
+    for n in (3, 4, 5):
+        for k in (2, 3):
+            x2k = term(*((0, k) + (0,) * (n - 2)))
+            x1 = term(*((1,) + (0,) * (n - 1)))
+            for J in (minimalize([x1, x2k]), minimalize([x2k])):
+                assert is_stable(J) == (len(J.min_gens) == 2) and not J.is_artinian
+                first = J._codec
+                assert first.M == k
+                for t in (first.M + 2, 2 * first.M + 5):
+                    M = J._codec.M
+                    assert sous_escalier(J, t) == brute_sous_escalier(J, t), (J, t)
+                    assert J._codec.M >= t > M, (J, t)
+                # the recoded store still holds every lower slice
+                for t in range(2 * first.M + 5):
+                    assert sous_escalier(J, t) == brute_sous_escalier(J, t), (J, t)
 
 
 def test_first_expansion_golden_eleven_terms():
@@ -367,7 +389,9 @@ def test_stability_read_off_the_slices_in_either_order():
             continue
         unstable += 1
         brute = [[m.exponents for m in brute_sous_escalier(J, t)] for t in range(top + 3)]
-        assert _slices(sliced_first, top + 2) == brute, J
+        slices = _slices(sliced_first, top + 2)  # may recode the slices
+        decode = sliced_first._codec.decode
+        assert [decode(sl) for sl in slices] == brute, J
     assert unstable > 1000
 
 

@@ -1,9 +1,12 @@
-"""Property tests of minimal bases, the divisor index, the first expansion and
-the almost revlex construction against brute force and the paper's lift."""
+"""Property tests of minimal bases, the divisor index, the term codes, the first
+expansion and the almost revlex construction against brute force and the paper's
+lift."""
 
 from __future__ import annotations
 
 import ast
+import random
+from bisect import bisect_left
 from math import prod
 
 import pytest
@@ -18,10 +21,10 @@ from arevlex import (
     minimalize,
     term_from_text,
 )
-from arevlex.ideals import _Divisors, _expand_slice
+from arevlex.ideals import _Codec, _Divisors, _expand_slice
 from arevlex.terms import raw_divides, raw_key
 
-from helpers import brute_minimal_basis, paper_lift_ci
+from helpers import brute_minimal_basis, paper_lift_ci, raw_expand_slice
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -113,7 +116,70 @@ def test_first_expansion_is_every_product_by_a_variable_at_or_below_min(case):
         low = max((i + 1 for i in range(n) if tau[i]), default=1)
         for v in range(low, n + 1):
             brute.add(tuple(x + (i == v - 1) for i, x in enumerate(tau)))
-    assert _expand_slice(slice_t, n) == sorted(brute, key=raw_key)
+    want = sorted(brute, key=raw_key)
+    assert raw_expand_slice(slice_t, n) == want
+    codec = _Codec(n, max(map(sum, slice_t), default=0) + 1)
+    coded = _expand_slice(codec.encode(slice_t), codec)
+    assert codec.decode(coded) == want
+
+
+def random_same_degree_terms(rng, n, M):
+    """Seeded distinct terms of one degree in n variables with every exponent <= M."""
+    t = rng.randint(0, M)
+    out = set()
+    for _ in range(rng.randint(1, 40)):
+        e = [0] * n
+        for _ in range(t):
+            e[rng.randrange(n)] += 1
+        if max(e) <= M:
+            out.add(tuple(e))
+    return sorted(out, key=raw_key)
+
+
+def codec_cases():
+    rng = random.Random(1801)
+    for _ in range(400):
+        n, M = rng.randint(1, 8), rng.randint(1, 9)
+        yield n, _Codec(n, M), random_same_degree_terms(rng, n, M)
+
+
+def test_codec_round_trips_and_orders_like_degrevlex():
+    for n, codec, terms in codec_cases():
+        codes = codec.encode(terms)
+        assert codec.decode(codes) == terms
+        # terms is increasing in raw_key, so the codes must increase too
+        assert codes == sorted(codes) and len(set(codes)) == len(codes), terms
+        assert codec.encode([(0,) * n]) == [codec.top]
+
+
+def test_codec_step_multiplies_by_a_variable():
+    for n, codec, terms in codec_cases():
+        codes = codec.encode(terms)
+        for i, step in enumerate(codec.steps):
+            fits = [(e, c) for e, c in zip(terms, codes) if e[i] < codec.M]
+            ups = [e[:i] + (e[i] + 1,) + e[i + 1 :] for e, _ in fits]
+            assert codec.encode(ups) == [c - step for _, c in fits], (terms, i)
+
+
+def test_codec_floor_bisects_the_suffix_the_scan_finds():
+    for n, codec, terms in codec_cases():
+        codes = codec.encode(terms)
+        start = 0
+        for i in range(n - 1, -1, -1):
+            # the tuple scan: the terms free of x_{i+2..n} are a suffix
+            assert all(not any(e[i + 1 :]) for e in terms[start:])
+            assert not any(not any(e[i + 1 :]) for e in terms[:start])
+            assert bisect_left(codes, codec.floors[i]) == start, (terms, i)
+            while start < len(terms) and terms[start][i]:
+                start += 1
+
+
+def test_coded_expansion_equals_the_tuple_reference():
+    for n, codec, terms in codec_cases():
+        if max(map(max, terms)) == codec.M:
+            continue  # the expansion would pass the bound
+        coded = _expand_slice(codec.encode(terms), codec)
+        assert codec.decode(coded) == raw_expand_slice(terms, n), terms
 
 
 @st.composite
