@@ -45,6 +45,14 @@ def _emit(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _output(args, data: dict, text) -> int:
+    """Print one result: ``data`` as a JSON line under ``--format json``, else
+    the lines that ``text()`` returns (built only for text output)."""
+    for line in [json.dumps(data)] if args.format == "json" else text():
+        _emit(line)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -52,11 +60,7 @@ def _emit(text: str):
 def cmd_construct(args) -> int:
     degrees = _parse_degrees(args.degrees)
     J = c_mod.almost_revlex_ci(len(degrees), degrees)
-    if args.format == "json":
-        _emit(json.dumps(i_mod.ideal_to_json(J)))
-    else:
-        _emit(i_mod.ideal_to_text(J))
-    return 0
+    return _output(args, i_mod.ideal_to_json(J), lambda: [i_mod.ideal_to_text(J)])
 
 
 def cmd_hilbert(args) -> int:
@@ -65,19 +69,13 @@ def cmd_hilbert(args) -> int:
     if args.degrees:
         degrees = _parse_degrees(args.degrees)
         profile = h_mod.CIProfile.of(degrees)
-        upto = args.upto if args.upto is not None else profile.m[-1]
-        H = h_mod.ci_hilbert(degrees, len(degrees), upto)
-        if args.format == "json":
-            out = H.to_json()
-            out["values"] = H.table(upto)
-            _emit(json.dumps(out))
-        else:
-            _emit(",".join(str(v) for v in H.table(upto)))
-            n = len(degrees)
-            cs = [h_mod.c_index(H, s) for s in range(n)]
-            _emit("c: " + ",".join(str(v) for v in cs))
-            _emit("m: " + ",".join(str(v) for v in profile.m))
-            _emit("u: " + ",".join(str(v) for v in profile.u_bar))
+        shown = args.upto if args.upto is not None else profile.m[-1]
+        H = h_mod.ci_hilbert(degrees, len(degrees), shown)
+
+        def profile_lines():
+            cs = [h_mod.c_index(H, s) for s in range(len(degrees))]
+            rows = (("c", cs), ("m", profile.m), ("u", profile.u_bar))
+            return [f"{name}: " + ",".join(map(str, vs)) for name, vs in rows]
     else:
         # without --upto, hf_of_ideal extends through the socle or regularity
         H = h_mod.hf_of_ideal(_load_ideal(args.ideal), args.upto or 0)
@@ -85,13 +83,12 @@ def cmd_hilbert(args) -> int:
             # a default range only makes sense when the tail is known
             raise AlgebraError("--upto is required for this ideal")
         shown = H.top if args.upto is None else args.upto
-        if args.format == "json":
-            out = H.to_json()
-            out["values"] = H.table(shown)
-            _emit(json.dumps(out))
-        else:
-            _emit(",".join(str(v) for v in H.table(shown)))
-    return 0
+
+        def profile_lines():
+            return []
+    values = H.table(shown)
+    return _output(args, H.to_json() | {"values": values},
+                   lambda: [",".join(map(str, values))] + profile_lines())
 
 
 def _resolve_artinian_ideal(args) -> i_mod.MonomialIdeal:
@@ -131,30 +128,21 @@ def cmd_tangent(args) -> int:
                 fh.write(t_mod.triplet_dump(J))
         except OSError as exc:
             raise AlgebraError(f"cannot write matrix dump {path}: {exc}") from exc
-    if args.format == "json":
-        out = report.to_json()
-        if audit_line is not None:
-            out["audit"] = audit_line
-        _emit(json.dumps(out))
-    else:
-        for key, value in report.to_json().items():
-            _emit(f"{key}: {value}")
-        if audit_line is not None:
-            _emit(f"audit: {audit_line}")
-    return 0
+    data = report.to_json()
+    if audit_line is not None:
+        data["audit"] = audit_line
+    return _output(args, data, lambda: [f"{key}: {value}" for key, value in data.items()])
 
 
 def cmd_classify(args) -> int:
     degrees = _parse_degrees(args.degrees)
     verdict = t_mod.classify_ci(degrees, exact=not args.no_exact)
-    if args.format == "json":
-        _emit(json.dumps(verdict.to_json()))
-    else:
-        _emit(f"verdict: {verdict.verdict}")
-        _emit(f"criterion: {verdict.criterion}")
-        witness = " ".join(f"{k}={v}" for k, v in sorted(verdict.witness.items()))
-        _emit(f"witness: {witness}")
-    return 0
+    witness = " ".join(f"{k}={v}" for k, v in sorted(verdict.witness.items()))
+    return _output(args, verdict.to_json(), lambda: [
+        f"verdict: {verdict.verdict}",
+        f"criterion: {verdict.criterion}",
+        f"witness: {witness}",
+    ])
 
 
 def cmd_verify(args) -> int:

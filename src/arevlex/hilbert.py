@@ -278,7 +278,7 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
         return HilbertFunction(tuple(counts), Eventual("zero"))
     # Krull dimension one needs n-1 pure powers; count them before the
     # stability check, which builds the slices through the top degree
-    if not J.is_zero and len(J._pure_power_vars) == J.n - 1 and is_strongly_stable(J):
+    if not J.is_zero and len(J._pure_powers) == J.n - 1 and is_strongly_stable(J):
         counts = [len(s) for s in _slices(J, max(up_to, J.max_gen_degree()))]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
     return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)

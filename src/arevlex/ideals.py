@@ -23,8 +23,9 @@ Membership has two routes, each the only one for its inputs:
   until it meets B_J (``_gen_index``); for a stable J this finds the
   head alpha of the unique decomposition tau = alpha*delta (P(J) = B_J) in
   O(deg tau) lookups, or shows tau is outside J.  The walk serves the
-  strong stability predicate, the head decomposition and, through it, the
-  tangent equations and the marked reduction.
+  strong stability predicate (which checks the adjacent moves
+  x_{i-1}*g/x_i of each generator), the head decomposition and, through
+  it, the tangent equations and the marked reduction.
 
 The staircase N(J) of every monomial ideal comes from one recursion,
 N(J)_t = E(N(J)_{t-1}) \\ J (``_slices``): N(J) is an order ideal, so a
@@ -57,6 +58,10 @@ constructed ideal is expanded once.  The Hilbert function counts the
 coded slices; :func:`sous_escalier`, :func:`first_expansion` and
 ``_staircase`` decode them.
 
+The pure powers of B_J are read once into ``_pure_powers``, {j: e} for
+x_j^e in B_J; being Artinian, the Krull dimension, the reduction numbers
+and the codec bound M all read that table.
+
 Two positional indexes are built once per ideal, on first use, and
 cached.  ``_gen_index`` maps each generator to its place in B_J; it is also
 the set that the head walk looks terms up in.
@@ -81,7 +86,8 @@ from .terms import (
     Term,
     enumerate_terms,
     json_int,
-    raw_cmp,
+    raw_key,
+    raw_max_var,
     raw_min_var,
     raw_quotient,
     term_from_json,
@@ -175,9 +181,9 @@ class MonomialIdeal:
         raw = tuple(g.exponents for g in self.min_gens)
         if any(len(e) != self.n for e in raw):
             raise DimensionError("generator over the wrong variable count")
-        for i in range(1, len(raw)):
-            if raw_cmp(raw[i - 1], raw[i]) >= 0:
-                raise DomainError("generators not strictly increasing in degrevlex")
+        keys = [raw_key(e) for e in raw]
+        if keys != sorted(set(keys)):
+            raise DomainError("generators not strictly increasing in degrevlex")
         # the terms are distinct, so b_k is minimal iff it alone divides b_k
         index = _Divisors(raw)
         for k, b in enumerate(raw):
@@ -277,33 +283,27 @@ class MonomialIdeal:
         # for stable ideals the head walk answers membership exactly
         if not self._stable:
             return False
+        # chains of adjacent moves reach every x_j*m/x_i, and a move of a
+        # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide
         for g in self._raw:
-            for i in range(self.n):
-                if not g[i]:
-                    continue
-                moved = list(g)
-                moved[i] -= 1
-                for j in range(i):
-                    moved[j] += 1
+            for i in range(1, self.n):
+                if g[i]:
+                    moved = list(g)
+                    moved[i] -= 1
+                    moved[i - 1] += 1
                     if self._head(tuple(moved)) is None:
                         return False
-                    moved[j] -= 1
         return True
 
     @cached_property
-    def _pure_power_vars(self) -> tuple[int, ...]:
-        """1-based indices of variables having a pure-power generator."""
-        out = []
-        for j in range(self.n):
-            for g in self._raw:
-                if g[j] and sum(g) == g[j]:
-                    out.append(j + 1)
-                    break
-        return tuple(out)
+    def _pure_powers(self) -> dict[int, int]:
+        """{j: e} for each pure power x_j^e in B_J (a minimal basis has one per x_j at most)."""
+        zeros = self.n - 1  # a pure power has one nonzero exponent
+        return {raw_max_var(g): sum(g) for g in self._raw if g.count(0) == zeros}
 
     @property
     def is_artinian(self) -> bool:
-        return len(self._pure_power_vars) == self.n
+        return len(self._pure_powers) == self.n
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +316,17 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
     An empty generator list yields the zero ideal (empty basis); operations
     that require an Artinian ideal reject it downstream.
     """
-    if not gens:
-        if n is None:
+    if n is None:
+        if not gens:
             raise DimensionError("empty generator list needs an explicit n")
-        return MonomialIdeal(n, ())
-    nv = gens[0].nvars if n is None else n
+        n = gens[0].nvars
+    if n < 1:
+        raise DimensionError(f"need at least one variable, got n={n}")
     distinct = sorted(set(gens), key=Term.sort_key)
     for g in distinct:
-        if g.nvars != nv:
+        if g.nvars != n:
             raise DimensionError(f"generator {list(g.exponents)} is over {g.nvars} "
-                                 f"variables, expected {nv}")
+                                 f"variables, expected {n}")
     raw = tuple(g.exponents for g in distinct)
     index = _Divisors(raw)
     # the candidates are distinct, so b_k is minimal iff it alone divides b_k
@@ -334,7 +335,7 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
         distinct = [g for g, keep in zip(distinct, minimal) if keep]
         raw = tuple(g.exponents for g in distinct)
         index = _Divisors(raw)
-    return _trusted(nv, tuple(distinct), raw, _divisors=index)
+    return _trusted(n, tuple(distinct), raw, _divisors=index)
 
 
 def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...],
@@ -437,14 +438,13 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
 def _bound(J: MonomialIdeal, upto: int) -> int:
     """The exponent bound M of J's codec for the slices through degree ``upto``.
 
-    An Artinian J keeps every exponent of its expansions at or below its
-    largest pure power, in every degree, and no other generator has an
-    exponent that large; otherwise a degree-t term has no exponent above t,
-    and the first M covers the top generator degree as well, which the
-    stability verdict reaches.
+    An Artinian J takes its largest pure power: no term of N(J) or B_J has a
+    larger exponent of x_v than x_v's pure power, in any degree.  Otherwise
+    a degree-t term has no exponent above t, and the first M covers the top
+    generator degree as well, which the stability verdict reaches.
     """
     if J.is_artinian:
-        return max(map(max, J._raw))
+        return max(J._pure_powers.values())
     return max(upto, sum(J._raw[-1]) if J._raw else 0)
 
 
@@ -636,8 +636,8 @@ def krull_dim(J: MonomialIdeal) -> int:
     """
     if not J._strongly_stable:
         raise StabilityError("Krull dimension rule requires a strongly stable ideal")
-    powered = J._pure_power_vars
-    if list(powered) != list(range(1, len(powered) + 1)):
+    powered = sorted(J._pure_powers)
+    if powered != list(range(1, len(powered) + 1)):
         raise StabilityError("pure-power variables do not form a prefix")
     return J.n - len(powered)
 
@@ -650,13 +650,9 @@ def reduction_number(J: MonomialIdeal, s: int) -> int:
     if s > J.n - 1:
         raise DomainError(f"r_{s} undefined: no variable x_{J.n - s}")
     v = J.n - s
-    best = None
-    for g in J._raw:
-        if g[v - 1] and sum(g) == g[v - 1]:
-            best = g[v - 1] if best is None else min(best, g[v - 1])
-    if best is None:
+    if v not in J._pure_powers:
         raise AssertionError(f"no pure power of x_{v}, although s >= delta")
-    return best - 1
+    return J._pure_powers[v] - 1
 
 
 def regularity(J: MonomialIdeal) -> int:

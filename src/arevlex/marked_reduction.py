@@ -98,10 +98,11 @@ def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, Linea
     keys in N(J) order, and in each form the +1 entry before the -1 entry.
     """
     _require_artinian_stable(J)
-    gens = J.min_gens
-    if gamma not in gens:
+    gi = J._gen_index.get(gamma.exponents)
+    if gi is None:
         raise DomainError(f"{gamma} is not a minimal generator")
-    remainder = full_reduce(J, gens.index(gamma), j)
+    remainder = full_reduce(J, gi, j)
+    gens = J.min_gens
     sous = [Term(b) for b in J._staircase]
     D = len(sous)
     return {

@@ -7,12 +7,15 @@ last nonzero entry of the exponent difference (negative means greater).
 
 The tuple-level helpers (``raw_*``) are used by the rest of the library in
 hot loops; :class:`Term` is the hashable value type exposed to callers.
+``raw_key`` is the one degrevlex comparator: the order of :class:`Term`,
+:func:`cmp_degrevlex` and every sort compare its keys.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 from math import comb
 from operator import add, neg, sub
 
@@ -30,18 +33,6 @@ def raw_key(e: tuple[int, ...]):
     turns that comparison into plain lexicographic order on tuples.
     """
     return (sum(e), tuple(map(neg, reversed(e))))
-
-
-def raw_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1, 0 or 1 as a <, =, > b in degrevlex."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    for i in range(len(a) - 1, -1, -1):
-        d = a[i] - b[i]
-        if d:
-            return 1 if d < 0 else -1
-    return 0
 
 
 def raw_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -97,9 +88,15 @@ def raw_terms_of_degree(n: int, t: int) -> list[tuple[int, ...]]:
 # public value type
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Term:
-    """A term (power product), identified with its exponent vector."""
+    """A term (power product), identified with its exponent vector.
+
+    Terms over the same variable count are ordered by degrevlex, through
+    :meth:`sort_key`; comparing terms over different counts raises
+    :class:`DimensionError`.
+    """
 
     exponents: tuple[int, ...]
 
@@ -160,17 +157,7 @@ class Term:
 
     def __lt__(self, other: "Term") -> bool:
         self._check_dim(other)
-        return raw_cmp(self.exponents, other.exponents) < 0
-
-    def __le__(self, other: "Term") -> bool:
-        self._check_dim(other)
-        return raw_cmp(self.exponents, other.exponents) <= 0
-
-    def __gt__(self, other: "Term") -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: "Term") -> bool:
-        return other.__le__(self)
+        return self.sort_key() < other.sort_key()
 
     # -- text and JSON forms
 
@@ -203,9 +190,9 @@ def one(n: int) -> Term:
 
 def cmp_degrevlex(a: Term, b: Term) -> int:
     """Compare two terms, returning -1, 0 or 1 (less, equal, greater)."""
-    if a.nvars != b.nvars:
-        raise DimensionError(f"terms over {a.nvars} and {b.nvars} variables")
-    return raw_cmp(a.exponents, b.exponents)
+    a._check_dim(b)
+    ka, kb = a.sort_key(), b.sort_key()
+    return (ka > kb) - (ka < kb)
 
 
 def enumerate_terms(n: int, t: int) -> list[Term]:

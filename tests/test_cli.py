@@ -188,11 +188,13 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
 @pytest.mark.parametrize("command", ["tangent", "hilbert"])
 @pytest.mark.parametrize("nvars", [0, -1])
 def test_ideal_file_rejects_no_variables(tmp_path, capsys, command, nvars):
+    # the variable count is checked before the generators' lengths
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"vars": nvars, "generators": []}))
-    code, out, err = run_cli(capsys, command, "--ideal", str(path))
-    assert code == 1 and out == ""
-    assert err == f"error: need at least one variable, got n={nvars}\n"
+    for gens in ([], [[1]]):
+        path.write_text(json.dumps({"vars": nvars, "generators": gens}))
+        code, out, err = run_cli(capsys, command, "--ideal", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: need at least one variable, got n={nvars}\n"
 
 
 @pytest.mark.parametrize("command", ["tangent", "hilbert"])
@@ -376,22 +378,28 @@ def test_source_has_no_unused_import():
 
 
 def test_source_has_no_orphaned_private_helper():
-    # a module-level _helper that no module of the package reads is left over
-    # from a refactor; tests and the benchmark may reach into the package,
-    # but cannot keep such a helper alive
+    # a module-level _helper, or a private method or cached property of a
+    # package class, that no module of the package reads is left over from a
+    # refactor; tests and the benchmark may reach into the package, but
+    # cannot keep such a helper alive
     import ast
     from pathlib import Path
 
     import arevlex
+
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__"))
 
     defined = {}
     read = set()
     for path in sorted(Path(arevlex.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")):
-                defined[node.name] = f"{path.name}:{node.lineno}"
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for helper in [node, *members]:
+                if private(helper):
+                    defined[helper.name] = f"{path.name}:{helper.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)

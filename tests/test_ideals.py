@@ -512,6 +512,21 @@ def test_pommaret_roundtrip():
                         assert d.max_var() >= a.min_var()
 
 
+def test_pure_power_table_matches_the_basis():
+    # the one pure-power table, against a scan of every x_j^e up to the top
+    # generator degree for membership in B_J
+    ideals = stability_test_ideals() + [minimalize([], 3), minimalize([one(3)])]
+    ideals += [minimalize([term(1, 0, 0), term(0, k, 0)]) for k in (1, 2, 5)]
+    for J in ideals:
+        top = J.max_gen_degree() if J.min_gens else 0
+        brute = {j: e for j in range(1, J.n + 1) for e in range(1, top + 1)
+                 if Term(tuple(e if v == j else 0 for v in range(1, J.n + 1))) in J.min_gens}
+        assert J._pure_powers == brute, J
+        assert J.is_artinian == (len(brute) == J.n), J
+    assert not minimalize([one(3)]).is_artinian  # the unit ideal has no pure power
+    assert minimalize([term(1, 0, 0), term(0, 5, 0)])._pure_powers == {1: 1, 2: 5}
+
+
 def test_krull_dim():
     assert krull_dim(curve_ideal()) == 1
     assert krull_dim(minimalize([term(2, 0, 0)])) == 2

@@ -164,6 +164,8 @@ def test_linearized_reduce_structure():
         linearized_reduce(J, term(2, 0, 0), 1)  # x1 is not above min(x1^2)
     with pytest.raises(DomainError):
         linearized_reduce(J, term(1, 1, 1), 1)  # not a generator
+    with pytest.raises(DomainError):
+        linearized_reduce(J, term(1, 0, 2, 0), 1)  # over another variable count
 
 
 def test_linearized_reduce_matches_assembled_system():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from math import comb
 
@@ -20,7 +21,7 @@ from arevlex import (
     term_to_text,
     variable,
 )
-from arevlex.terms import raw_mul, raw_quotient
+from arevlex.terms import raw_key, raw_mul, raw_quotient
 
 
 def rand_term(rng, n, maxdeg=8):
@@ -41,8 +42,30 @@ def test_degrevlex_examples():
 
 
 def test_degrevlex_mismatched_nvars():
-    with pytest.raises(DimensionError):
-        cmp_degrevlex(term(1, 0), term(1, 0, 0))
+    a, b = term(1, 0), term(1, 0, 0)
+    for compare in (cmp_degrevlex, operator.lt, operator.le, operator.gt, operator.ge):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DimensionError):
+                compare(x, y)
+
+
+def test_comparisons_agree_with_the_sort_key():
+    # every comparison reads raw_key, on pairs of equal and of unequal degree;
+    # the key itself is checked against the definition: degree first, then a
+    # negative last nonzero entry of a - b means a is greater
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        a = rand_term(rng, n)
+        b = rand_term(rng, n) if rng.random() < 0.5 else Term(
+            tuple(rng.sample(a.exponents, n)))  # same degree, often equal
+        ka, kb = raw_key(a.exponents), raw_key(b.exponents)
+        diff = [x - y for x, y in zip(a.exponents, b.exponents) if x != y]
+        want = (a.degree > b.degree) - (a.degree < b.degree) or (
+            (diff[-1] < 0) - (diff[-1] > 0) if diff else 0)
+        assert (ka > kb) - (ka < kb) == want
+        assert cmp_degrevlex(a, b) == want
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
 
 
 def test_order_axioms_random():
