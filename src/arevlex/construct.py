@@ -55,7 +55,7 @@ from .ideals import (
     _trusted,
     is_almost_revlex,
 )
-from .terms import Term
+from .terms import Term, _unchecked_terms
 
 
 def greatest(terms: list[Term], h: int) -> list[Term]:
@@ -95,7 +95,7 @@ def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
         # gens stays sorted without a sort
         gens += new
     raw = tuple(codec.decode(gens))
-    return _trusted(n, tuple(map(Term, raw)), raw,
+    return _trusted(n, _unchecked_terms(raw), raw,
                     _codec=codec, _slice_store=store, _stable=True)
 
 

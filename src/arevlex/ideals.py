@@ -11,10 +11,13 @@ Membership has two routes, each the only one for its inputs:
   B_J, answers "which generators divide e?" exactly without assuming
   stability: per variable, a bisect into the sorted distinct exponents
   picks a mask of the generators whose exponent is at most e's, and the AND
-  of the n masks holds the divisors of e.  Building it is the minimality
-  check of the basis (b_k is minimal iff bit k alone is set for b_k, in any
-  order); :func:`minimalize` makes that check once and hands its sorted
-  basis and index to the ideal it returns.  The greedy construction proves
+  of the n masks holds the divisors of e.  It also checks minimality: b_k
+  is minimal iff bit k alone is set for b_k, in any order, and one batched
+  pass (``_Divisors.alone``, a lazy ``map`` chain per variable) reads that
+  off for every term of :func:`minimalize`, the checked constructor and the
+  file loader, which checks its generator list in bulk and sorts it only
+  when it is out of order.  :func:`minimalize` hands its sorted basis and
+  index to the ideal it returns.  The greedy construction proves
   its basis another way (see :mod:`arevlex.construct`), so its ideal
   builds the index only when something asks for divisibility.  The index
   serves :func:`contains`, the staircase of a non-stable ideal and the
@@ -78,12 +81,14 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
-from operator import mul
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import and_, attrgetter, eq, lshift, lt, mul, neg
 
 from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
     Term,
+    _exponents_from_json,
+    _unchecked_terms,
     enumerate_terms,
     json_int,
     raw_key,
@@ -128,6 +133,19 @@ class _Divisors:
         for x, (values, masks) in zip(e, self._axes):
             hits &= masks[bisect_right(values, x)]
         return hits
+
+    def alone(self, terms: Sequence[tuple[int, ...]]) -> list[bool]:
+        """For the distinct terms the index was built from, True where no other divides.
+
+        One pass per variable: b_k's own exponent picks its mask, and a lazy
+        chain of ``map``s ANDs the masks across the columns, so only one mask
+        per column is alive at a time; b_k is alone iff the AND is 1 << k.
+        """
+        hits = ()
+        for column, (values, masks) in zip(zip(*terms), self._axes):
+            col = map(dict(zip(values, islice(masks, 1, None))).__getitem__, column)
+            hits = map(and_, hits, col) if hits else col
+        return list(map(eq, hits, map(lshift, repeat(1), count())))
 
     def divides(self, e: tuple[int, ...]) -> bool:
         """True iff some term of the list divides e."""
@@ -178,19 +196,19 @@ class MonomialIdeal:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionError(f"need at least one variable, got n={self.n}")
-        raw = tuple(g.exponents for g in self.min_gens)
-        if any(len(e) != self.n for e in raw):
+        raw = tuple(map(attrgetter("exponents"), self.min_gens))
+        if {*map(len, raw)} - {self.n}:
             raise DimensionError("generator over the wrong variable count")
-        keys = [raw_key(e) for e in raw]
-        if keys != sorted(set(keys)):
+        if not _increasing(raw):
             raise DomainError("generators not strictly increasing in degrevlex")
         # the terms are distinct, so b_k is minimal iff it alone divides b_k
         index = _Divisors(raw)
-        for k, b in enumerate(raw):
-            other = index.below(b) & ~(1 << k)
-            if other:
-                a = raw[(other & -other).bit_length() - 1]
-                raise DomainError(f"basis not minimal: {a} divides {b}")
+        alone = index.alone(raw)
+        if not all(alone):
+            k = alone.index(False)
+            other = index.below(raw[k]) & ~(1 << k)
+            a = raw[(other & -other).bit_length() - 1]
+            raise DomainError(f"basis not minimal: {a} divides {raw[k]}")
         self.__dict__["_raw"] = raw
         self.__dict__["_divisors"] = index
 
@@ -284,9 +302,10 @@ class MonomialIdeal:
         if not self._stable:
             return False
         # chains of adjacent moves reach every x_j*m/x_i, and a move of a
-        # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide
+        # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide;
+        # stability already puts the move at the smallest variable of g in J
         for g in self._raw:
-            for i in range(1, self.n):
+            for i in range(1, raw_min_var(g) - 1 if any(g) else 0):
                 if g[i]:
                     moved = list(g)
                     moved[i] -= 1
@@ -322,20 +341,44 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
         n = gens[0].nvars
     if n < 1:
         raise DimensionError(f"need at least one variable, got n={n}")
-    distinct = sorted(set(gens), key=Term.sort_key)
-    for g in distinct:
-        if g.nvars != n:
-            raise DimensionError(f"generator {list(g.exponents)} is over {g.nvars} "
-                                 f"variables, expected {n}")
-    raw = tuple(g.exponents for g in distinct)
+    raw = list(map(attrgetter("exponents"), gens))
+    if {*map(len, raw)} - {n}:
+        for g in sorted(set(gens), key=Term.sort_key):
+            if g.nvars != n:
+                raise DimensionError(f"generator {list(g.exponents)} is over {g.nvars} "
+                                     f"variables, expected {n}")
+    return _minimal(n, raw)
+
+
+def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of exponent tuples over n variables, checked to be of length n.
+
+    Sorts and deduplicates only a list that does not already strictly
+    increase, then keeps the terms that no other divides, in one batched
+    pass of the divisor index.
+    """
+    if not _increasing(raw):
+        raw = sorted(set(raw), key=raw_key)
     index = _Divisors(raw)
     # the candidates are distinct, so b_k is minimal iff it alone divides b_k
-    minimal = [index.below(e) == 1 << k for k, e in enumerate(raw)]
-    if not all(minimal):
-        distinct = [g for g, keep in zip(distinct, minimal) if keep]
-        raw = tuple(g.exponents for g in distinct)
+    alone = index.alone(raw)
+    if not all(alone):
+        raw = list(compress(raw, alone))
         index = _Divisors(raw)
-    return _trusted(n, tuple(distinct), raw, _divisors=index)
+    raw = tuple(raw)
+    return _trusted(n, _unchecked_terms(raw), raw, _divisors=index)
+
+
+def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
+    """True iff exponent tuples of one length strictly increase in degrevlex.
+
+    The flat key (deg, -e_n, ..., -e_1) orders as ``raw_key`` does; it is
+    built column by column, with no call per term, and lazily, so an
+    unsorted list fails at its first descent.
+    """
+    keys, later = tee(zip(map(sum, raw), *[map(neg, c) for c in reversed([*zip(*raw)])]))
+    next(later, None)
+    return all(map(lt, keys, later))
 
 
 def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...],
@@ -345,7 +388,7 @@ def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...
     Skips the basis checks of :class:`MonomialIdeal`, which would only repeat
     that proof, and seeds the cached data the builder already holds
     (``_divisors``, or ``_codec``, ``_slice_store`` and ``_stable``).  Only
-    :func:`minimalize` and the greedy construction call it.
+    :func:`minimalize`, the file loader and the greedy construction call it.
     """
     J = object.__new__(MonomialIdeal)
     J.__dict__.update(n=n, min_gens=min_gens, _raw=raw, **derived)
@@ -689,7 +732,10 @@ def ideal_to_json(J: MonomialIdeal) -> dict:
 def ideal_from_json(data: dict) -> MonomialIdeal:
     try:
         n = json_int(data["vars"])
-        gens = [term_from_json(g) for g in data["generators"]]
+        gens = data["generators"]
+        raw = _exponents_from_json(gens, n)
+        if raw is None:  # a list the bulk checks refuse, or an empty one
+            gens = [term_from_json(g) for g in gens]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc
-    return minimalize(gens, n)
+    return minimalize(gens, n) if raw is None else _minimal(n, raw)

@@ -9,6 +9,12 @@ The tuple-level helpers (``raw_*``) are used by the rest of the library in
 hot loops; :class:`Term` is the hashable value type exposed to callers.
 ``raw_key`` is the one degrevlex comparator: the order of :class:`Term`,
 :func:`cmp_degrevlex` and every sort compare its keys.
+
+A generator list read from JSON is checked in bulk (``_exponents_from_json``:
+one pass per check over the whole list); only a list that fails a check
+goes through :func:`term_from_json` term by term, which names the first
+offender.  ``_unchecked_terms`` wraps tuples that the library has already
+validated or made, skipping the checks of ``Term(...)``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import chain, repeat
 from math import comb
 from operator import add, neg, sub
 
@@ -171,6 +178,14 @@ class Term:
         return list(self.exponents)
 
 
+def _unchecked_terms(raw) -> tuple[Term, ...]:
+    """Terms on exponent tuples that the library has validated or made, unchecked."""
+    out = list(map(object.__new__, repeat(Term, len(raw))))
+    for t, e in zip(out, raw):
+        t.__dict__["exponents"] = e
+    return tuple(out)
+
+
 def term(*exponents: int) -> Term:
     """Shorthand constructor: term(2, 0, 1) is x1^2*x3."""
     return Term(tuple(exponents))
@@ -257,3 +272,15 @@ def term_from_json(data: list[int]) -> Term:
         for x in data:
             json_int(x)
     return Term(tuple(data))
+
+
+def _exponents_from_json(gens, n: int) -> list[tuple[int, ...]] | None:
+    """``gens`` as exponent tuples if it is a nonempty list of lists of n >= 1
+    nonnegative JSON integers each, else None (the caller then parses term by
+    term, which names the first offender)."""
+    flat = chain.from_iterable
+    if (n >= 1 and type(gens) is list and {*map(type, gens)} == {list}
+            and {*map(len, gens)} == {n} and {*map(type, flat(gens))} == {int}
+            and min(flat(gens)) >= 0):
+        return list(map(tuple, gens))
+    return None

@@ -186,6 +186,32 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
 
 
 @pytest.mark.parametrize("command", ["tangent", "hilbert"])
+@pytest.mark.parametrize("ideal, message", [
+    ({"vars": 2, "generators": "abc"}, "expected a list of exponents, got 'a'"),
+    ({"vars": 2, "generators": {"a": [1, 0]}}, "expected a list of exponents, got 'a'"),
+    ({"vars": 2, "generators": 5}, "malformed ideal JSON: 'int' object is not iterable"),
+    ({"vars": 2, "generators": 1.5}, "malformed ideal JSON: 'float' object is not iterable"),
+    ({"vars": 2, "generators": [[1, 0], []]}, "a term needs at least one variable"),
+    ({"vars": 2, "generators": [[2, 0], [-1, 3]]}, "negative exponent in (-1, 3)"),
+    ({"vars": 3, "generators": [[0, 2, 1], [1, 1, -1], [1.5, 0, 0]]},
+     "negative exponent in (1, 1, -1)"),
+    ({"vars": 2}, "malformed ideal JSON: 'generators'"),
+    ([[1, 0], [0, 1]], "malformed ideal JSON: list indices must be integers or slices, not str"),
+    ({"vars": 0, "generators": [[-1]]}, "negative exponent in (-1,)"),
+    ({"vars": -1, "generators": [[]]}, "a term needs at least one variable"),
+    ({"vars": 0, "generators": [[1.5]]}, "expected an integer, got 1.5"),
+    ({"vars": 0, "generators": [3]}, "expected a list of exponents, got 3"),
+    ({"vars": -1, "generators": "ab"}, "expected a list of exponents, got 'a'"),
+])
+def test_ideal_file_malformed_message(tmp_path, capsys, command, ideal, message):
+    # the bulk checks of the loader refuse these, and the per-generator
+    # parse names the first offender, in file order
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ideal))
+    assert run_cli(capsys, command, "--ideal", str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["tangent", "hilbert"])
 @pytest.mark.parametrize("nvars", [0, -1])
 def test_ideal_file_rejects_no_variables(tmp_path, capsys, command, nvars):
     # the variable count is checked before the generators' lengths

@@ -130,34 +130,42 @@ def test_basis_checks_match_brute_force():
 
 def test_basis_checks_make_no_pairwise_scan(monkeypatch):
     # the greedy proves its basis minimal by its move check and never asks
-    # the divisor index; minimalize answers divisibility from the index, one
-    # query per candidate, and the ideal it returns reuses its checks.  A
-    # pairwise scan makes 375k divisibility tests on this basis
-    scans = queries = 0
+    # the divisor index; minimalize and the checked constructor answer
+    # divisibility for every candidate in one batched pass of the index,
+    # with no per-term query, and the ideal minimalize returns reuses its
+    # checks.  A pairwise scan makes 375k divisibility tests on this basis
+    scans = queries = passes = 0
 
     def counting_divides(a, b):
         nonlocal scans
         scans += 1
         return raw_divides(a, b)
 
-    below = _Divisors.below
+    below, alone = _Divisors.below, _Divisors.alone
 
     def counting_below(self, e):
         nonlocal queries
         queries += 1
         return below(self, e)
 
+    def counting_alone(self, terms):
+        nonlocal passes
+        passes += 1
+        return alone(self, terms)
+
     monkeypatch.setattr(terms_module, "raw_divides", counting_divides)
     monkeypatch.setattr(_Divisors, "below", counting_below)
+    monkeypatch.setattr(_Divisors, "alone", counting_alone)
     J = almost_revlex_ci(5, (5, 5, 5, 5, 8))
     assert len(J.min_gens) == 627
     assert scans < len(J.min_gens)
-    assert queries == 0
-    scans = queries = 0
-    # one query per candidate and none for the ideal it returns
-    assert minimalize(list(J.min_gens)) == J
-    assert scans < len(J.min_gens)
-    assert queries == len(J.min_gens)
+    assert queries == passes == 0
+    for build in (lambda: minimalize(list(J.min_gens)), lambda: MonomialIdeal(5, J.min_gens)):
+        scans = queries = passes = 0
+        assert build() == J
+        assert scans < len(J.min_gens)
+        assert queries == 0
+        assert passes == 1
 
 
 def test_minimalize_indexes_the_kept_basis():
@@ -212,6 +220,49 @@ def test_huge_exponents_stay_fast():
         assert not contains(J, Term((10**9 - 1, 10**9 - 1) + (0,) * (n - 2)))
         assert is_quasi_stable(J)
     assert time.perf_counter() - start < 0.5
+
+
+def test_loader_matches_brute_force():
+    # ideal_from_json checks and sorts a generator list in bulk and keeps its
+    # minimal terms in one batched pass; it must agree, in basis, equality
+    # and hash, with the brute-force basis, with minimalize over Terms and
+    # with the checked constructor, which names the first non-minimal term
+    # and its first divisor in degrevlex order
+    rng = random.Random(2020)
+    cases = [(2, [[10**9, 0], [0, 10**9]]), (3, [[0, 10**9, 0], [10**9, 0, 0]])]
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        pool = [[rng.randint(0, 6) for _ in range(n)] for _ in range(rng.randint(1, 10))]
+        pool += [[min(6, x + rng.randint(0, 2)) for x in rng.choice(pool)]
+                 for _ in range(rng.randint(0, 3))]
+        pool += [list(g) for g in rng.sample(pool, rng.randint(0, min(3, len(pool))))]
+        order = rng.choice(("shuffled", "sorted", "basis"))
+        if order == "shuffled":
+            rng.shuffle(pool)
+        elif order == "sorted":
+            pool.sort(key=lambda g: raw_key(tuple(g)))
+        else:
+            pool = [list(g.exponents) for g in brute_minimal_basis([Term(tuple(g)) for g in pool])]
+        cases.append((n, pool))
+    orders = set()
+    for n, gens in cases:
+        terms = [Term(tuple(g)) for g in gens]
+        J = ideal_from_json({"vars": n, "generators": gens})
+        expected = brute_minimal_basis(terms)
+        assert J.min_gens == expected
+        assert all(type(g.exponents) is tuple for g in J.min_gens)
+        K, L = minimalize(terms, n), MonomialIdeal(n, expected)
+        assert J == K == L and hash(J) == hash(K) == hash(L)
+        distinct = sorted(set(terms), key=Term.sort_key)
+        orders.add((distinct == terms, len(distinct) > len(expected)))
+        if len(distinct) > len(expected):
+            b = next(b for b in distinct if b not in expected)
+            a = next(a for a in distinct if a != b and a.divides(b))
+            with pytest.raises(DomainError) as info:
+                MonomialIdeal(n, tuple(distinct))
+            assert str(info.value) == f"basis not minimal: {a.exponents} divides {b.exponents}"
+    # in order or not, minimal or not: every path of the loader ran
+    assert orders == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_ideal_needs_a_variable():
