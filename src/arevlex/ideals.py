@@ -22,13 +22,13 @@ Membership has two routes, each the only one for its inputs:
   builds the index only when something asks for divisibility.  The index
   serves :func:`contains`, the staircase of a non-stable ideal and the
   quasi-stability predicate.
-* ``MonomialIdeal._head`` walks down from a term by its smallest variable
-  until it meets B_J (``_gen_index``); for a stable J this finds the
-  head alpha of the unique decomposition tau = alpha*delta (P(J) = B_J) in
-  O(deg tau) lookups, or shows tau is outside J.  The walk serves the
-  strong stability predicate (which checks the adjacent moves
-  x_{i-1}*g/x_i of each generator), the head decomposition and, through
-  it, the tangent equations and the marked reduction.
+* ``MonomialIdeal._heads`` walks down from each of a run of terms by its
+  smallest variable until it meets B_J, one lookup per variable
+  (``_prefixes``); for a stable J this finds the head alpha of the unique
+  decomposition tau = alpha*delta (P(J) = B_J), or shows tau is outside J.
+  The one walk serves the strong stability predicate (the adjacent moves
+  x_{i-1}*g/x_i of each generator), the tangent kernel's blocks, and
+  ``_pommaret_raw``, its one-term form, for the marked reduction.
 
 The staircase N(J) of every monomial ideal comes from one recursion,
 N(J)_t = E(N(J)_{t-1}) \\ J (``_slices``): N(J) is an order ideal, so a
@@ -59,20 +59,21 @@ the smallest codes per degree instead of filtering by J, and hands the
 ideal it builds its slices, codec and stable verdict, so N(J) of a
 constructed ideal is expanded once.  The Hilbert function counts the
 coded slices; :func:`sous_escalier`, :func:`first_expansion` and
-``_staircase`` decode them.
+``_columns`` decode them.
 
 The pure powers of B_J are read once into ``_pure_powers``, {j: e} for
 x_j^e in B_J; being Artinian, the Krull dimension, the reduction numbers
 and the codec bound M all read that table.
 
-Two positional indexes are built once per ideal, on first use, and
-cached.  ``_gen_index`` maps each generator to its place in B_J; it is also
-the set that the head walk looks terms up in.
-``_staircase``, for an Artinian J only, maps each term of N(J) to its
-place in degree-major increasing degrevlex order, read from the slices
-through the first empty one, which may lie past the top generator degree
-when J is not stable; its length is :func:`colength`.  The tangent kernel
-and the audit oracle take their parameter columns from these two.
+Positional data is built once per ideal, on first use, and cached.
+``_gen_index`` maps each generator to its place in B_J.  ``_columns``, for
+an Artinian J only, lists the exponents of each variable over N(J) in
+degree-major increasing degrevlex order, one ``_Codec.columns`` decode of
+the slices through the first empty one (which may lie past the top
+generator degree when J is not stable); its length is :func:`colength`, and
+the tangent kernel reads nothing else of N(J).  ``_staircase`` maps each
+term of N(J) to its place, zipped from the columns only when the equation
+rows, the audit oracle or the marked reduction ask for it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ from .terms import (
     raw_key,
     raw_max_var,
     raw_min_var,
-    raw_quotient,
     term_from_json,
 )
 
@@ -179,11 +179,15 @@ class _Codec:
         top, steps = self.top, self.steps
         return [top - sum(map(mul, e, steps)) for e in terms]
 
-    def decode(self, codes: list[int]) -> list[tuple[int, ...]]:
-        """The exponent tuples of a list of codes, one pass per variable."""
+    def columns(self, codes: list[int]) -> list[list[int]]:
+        """The exponents of each variable over a list of codes, one list per variable."""
         top, R = self.top, self.R
         rest = [top - c for c in codes]
-        return list(zip(*[[x // step % R for x in rest] for step in self.steps]))
+        return [[x // step % R for x in rest] for step in self.steps]
+
+    def decode(self, codes: list[int]) -> list[tuple[int, ...]]:
+        """The exponent tuples of a list of codes."""
+        return list(zip(*self.columns(codes)))
 
 
 @dataclass(frozen=True, eq=True)
@@ -256,37 +260,48 @@ class MonomialIdeal:
 
     @cached_property
     def _gen_index(self) -> dict[tuple[int, ...], int]:
-        """{generator: its position in B_J}; also the membership set of B_J."""
+        """{generator: its position in B_J}."""
         return dict(zip(self._raw, range(len(self._raw))))
+
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """The exponents of each variable over N(J), in staircase order, for Artinian J."""
+        if not self.is_artinian:
+            raise DomainError("the staircase index requires an Artinian ideal")
+        slices = _socle_slices(self, 0)
+        return self._codec.columns(list(chain.from_iterable(slices)))
 
     @cached_property
     def _staircase(self) -> dict[tuple[int, ...], int]:
         """{m: its position in N(J)}, degree-major increasing degrevlex, for Artinian J."""
-        if not self.is_artinian:
-            raise DomainError("the staircase index requires an Artinian ideal")
-        slices = _socle_slices(self, 0)
-        return dict(zip(self._codec.decode(list(chain.from_iterable(slices))), count()))
+        return dict(zip(zip(*self._columns), count()))
 
-    def _head(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The head alpha in B_J of e in a stable J, or None when e is not in J.
+    @cached_property
+    def _prefixes(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """{g[:k]: (g_{k+1}, gi)} for each generator g = B_J[gi], x_{k+1} = min(g) (k = 0 for 1)."""
+        return {g[:k]: (g[k], gi) for gi, g in enumerate(self._raw)
+                for k in [raw_min_var(g) - 1 if any(g) else 0]}
+
+    def _heads(self, terms):
+        """For each term e of a stable J, (gi, delta) with e = B_J[gi]*delta, or None.
 
         In a stable J, e = alpha*delta with every variable of delta at or
-        below min(alpha).  Unless e = alpha, the smallest variable of e
-        divides delta, so dividing it out keeps the term in J with the same
-        head; a term outside J never meets B_J and runs out of variables.
+        below min(alpha); unless e = alpha, dividing e by its smallest
+        variable keeps the head.  That walk meets e[:k]*x_{k+1}^a, a = e_{k+1}
+        down to 1, for k from the last variable down, then 1; B_J holds at most
+        one such term per k (``_prefixes``), so it takes one lookup per k.  A
+        term outside J gives None.  One generator walks all terms, no call each.
         """
-        gens = self._gen_index
-        cur = list(e)
-        k = len(cur) - 1
-        while True:
-            t = tuple(cur)
-            if t in gens:
-                return t
-            while k >= 0 and not cur[k]:
-                k -= 1
-            if k < 0:
-                return None
-            cur[k] -= 1
+        find = self._prefixes.get
+        zeros = (0,) * self.n
+        for e in terms:
+            head = None
+            for k in range(len(e) - 1, -1, -1):
+                hit = find(e[:k])
+                if hit is not None and hit[0] <= e[k]:
+                    head = hit[1], zeros[:k] + (e[k] - hit[0],) + e[k + 1:]
+                    break
+            yield head
 
     @cached_property
     def _stable(self) -> bool:
@@ -304,15 +319,9 @@ class MonomialIdeal:
         # chains of adjacent moves reach every x_j*m/x_i, and a move of a
         # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide;
         # stability already puts the move at the smallest variable of g in J
-        for g in self._raw:
-            for i in range(1, raw_min_var(g) - 1 if any(g) else 0):
-                if g[i]:
-                    moved = list(g)
-                    moved[i] -= 1
-                    moved[i - 1] += 1
-                    if self._head(tuple(moved)) is None:
-                        return False
-        return True
+        moves = (g[: i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:] for g in self._raw
+                 for i in range(1, raw_min_var(g) - 1 if any(g) else 0) if g[i])
+        return None not in self._heads(moves)
 
     @cached_property
     def _pure_powers(self) -> dict[int, int]:
@@ -661,10 +670,10 @@ def _pommaret_raw(
     J: MonomialIdeal, e: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # every caller has checked that J is stable, where the head is unique
-    alpha = J._head(e)
-    if alpha is None:
+    (head,) = J._heads((e,))
+    if head is None:
         raise DomainError(f"term {e} is not in the ideal")
-    return alpha, raw_quotient(e, alpha)
+    return J._raw[head[0]], head[1]
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +716,7 @@ def regularity(J: MonomialIdeal) -> int:
 
 def colength(J: MonomialIdeal) -> int:
     """|N(J)| = sum of the Hilbert function, for Artinian J."""
-    return len(J._staircase)
+    return len(J._columns[0])
 
 
 def border_generator_count(J: MonomialIdeal) -> int:
@@ -734,8 +743,10 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
         n = json_int(data["vars"])
         gens = data["generators"]
         raw = _exponents_from_json(gens, n)
-        if raw is None:  # a list the bulk checks refuse, or an empty one
-            gens = [term_from_json(g) for g in gens]
+        if raw is None:  # a list the bulk checks refuse, an empty one, or no list
+            terms = [term_from_json(g) for g in gens]
+            if type(gens) is not list:  # "" or {}: nothing to name an offender
+                raise DomainError(f"malformed ideal JSON: generators must be a list, got {gens!r}")
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc
-    return minimalize(gens, n) if raw is None else _minimal(n, raw)
+    return minimalize(terms, n) if raw is None else _minimal(n, raw)

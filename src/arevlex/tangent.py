@@ -34,11 +34,14 @@ blocks of :func:`_blocks` as rows, the ``--out`` dump and the audit, where
 fraction-free elimination (:mod:`arevlex.linalg`) checks the kernel.
 
 The parameters are laid out generator-major, then N(J) in degree-major
-increasing degrevlex: C[gens[gi], beta] is column gi*D + pos[beta].  Both
-positions come from two indexes that a :class:`MonomialIdeal` builds once
-and caches, ``_gen_index`` (generator -> gi) and ``_staircase`` (term of
-N(J) -> pos, with D = colength(J) its length); this module and
-:mod:`arevlex.marked_reduction` read them and build no copies.
+increasing degrevlex: C[gens[gi], beta] is column gi*D + pos[beta], with
+D = colength(J).  A :class:`MonomialIdeal` decodes N(J) once, into
+``_columns`` (the exponents of each variable, in that order), and caches
+it.  :func:`tangent_dim` reads only those columns, laying N(J) out and
+masking it column-wise (:func:`_layout`), and takes every block's head from
+one walk (``MonomialIdeal._heads``).  The rows, the dump and the audit read
+``_gen_index`` (generator -> gi) and ``_staircase`` (term -> pos, zipped
+from the columns on first use), as :mod:`arevlex.marked_reduction` does.
 
 The tangent dimension is the parameter count minus that rank; comparing it
 with n*D (the dimension of the component through the lexicographic point)
@@ -51,7 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import comb, prod
+from operator import add, mul
 
 from . import construct as _construct
 from .errors import DomainError, StabilityError
@@ -139,18 +144,19 @@ def parameters(J: MonomialIdeal) -> list[Parameter]:
     return [Parameter(alpha, beta) for alpha in J.min_gens for beta in betas]
 
 
-def _blocks(J: MonomialIdeal):
-    """Yield (gi, ai, j, delta') for every block (gi, j).
+def _blocks(J: MonomialIdeal) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(gi, ai, j, delta') for every block (gi, j).
 
     A block is a generator gens[gi] and a variable x_j above its minimal
-    variable; x_j*gens[gi] = x^alpha' * x^delta' is its head decomposition
-    and ai = index of alpha' in B_J.  Order: generator-major, then variable.
+    variable; x_j*gens[gi] = gens[ai] * x^delta' is its head decomposition.
+    One walk of ``MonomialIdeal._heads`` decomposes every block.  Order:
+    generator-major, then variable.
     """
-    index = J._gen_index
-    for gi, g in enumerate(J._raw):
-        for j in range(1, raw_min_var(g)):
-            alpha, delta = _pommaret_raw(J, g[: j - 1] + (g[j - 1] + 1,) + g[j:])
-            yield gi, index[alpha], j, delta
+    raw = J._raw
+    places = [(gi, j) for gi, g in enumerate(raw) for j in range(1, raw_min_var(g))]
+    heads = J._heads([raw[gi][: j - 1] + (raw[gi][j - 1] + 1,) + raw[gi][j:]
+                      for gi, j in places])
+    return [(gi, ai, j, delta) for (gi, j), (ai, delta) in zip(places, heads)]
 
 
 def _equation_pairs(J: MonomialIdeal):
@@ -164,66 +170,83 @@ def _equation_pairs(J: MonomialIdeal):
     no pair cancels: that would need alpha' = gamma and delta' = x_j, but a
     head decomposition has max(delta') >= min(alpha') and j < min(gamma).
 
+    Blocks come one ``_pommaret_raw`` at a time and positions from ``_staircase``,
+    so the dumped and audited rows share neither :func:`_blocks` nor :func:`_layout`.
     Order: generator-major, then variable, then m increasing degrevlex, the
     order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
     same equations off its remainders.
     """
-    pos = J._staircase
+    pos, index = J._staircase, J._gen_index
     D = len(pos)
     # div[v][i]: the position of m/x_{v+1} for the m at position i, or -1;
     # N(J) is an order ideal, so they compose to m/delta' (a trailing -1 stays)
     div = [[pos[m[:v] + (m[v] - 1,) + m[v + 1:]] if m[v] else -1 for m in pos] + [-1]
            for v in range(J.n)]
     by_delta: dict[tuple[int, ...], list[int]] = {}
-    for gi, ai, j, delta in _blocks(J):
-        qmap = by_delta.get(delta)
-        if qmap is None:
-            qmap = list(range(D)) + [-1]
-            for v, e in enumerate(delta):
-                for _ in range(e):
-                    qmap = [div[v][i] for i in qmap]
-            by_delta[delta] = qmap
-        plus0, minus0 = gi * D, ai * D
-        yield from [
-            (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
-            for p, q in zip(div[j - 1], qmap)
-            if p >= 0 or q >= 0
-        ]
+    for gi, g in enumerate(J._raw):
+        for j in range(1, raw_min_var(g)):
+            alpha, delta = _pommaret_raw(J, g[: j - 1] + (g[j - 1] + 1,) + g[j:])
+            qmap = by_delta.get(delta)
+            if qmap is None:
+                qmap = list(range(D)) + [-1]
+                for v, e in enumerate(delta):
+                    for _ in range(e):
+                        qmap = [div[v][i] for i in qmap]
+                by_delta[delta] = qmap
+            plus0, minus0 = gi * D, index[alpha] * D
+            yield from [
+                (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
+                for p, q in zip(div[j - 1], qmap)
+                if p >= 0 or q >= 0
+            ]
+
+
+def _layout(J: MonomialIdeal) -> tuple[list[int], int, list[list[int]]]:
+    """(stride, size, at_least): the linear layout of N(J) and its exponent masks.
+
+    Built column by column from ``J._columns``.  Term m sits on cell
+    sum(m_v * stride_v), each stride (from x_n down) one past the largest
+    cell so far: no two terms share a cell, and m/x_j and m/delta' sit a
+    fixed stride below m.  Bit c of at_least[v][k] marks the term on cell c
+    if its x_{v+1} exponent is >= k, for k = 1 .. max + 1 (-1 for k = 0).
+    k = 1 is one scatter of the cells into a bytearray of binary digits;
+    k >= 2 is at_least[v][1] AND (at_least[v][k-1] << stride_v), exact as a
+    multiple m of x_{v+1} in N(J) has m/x_{v+1} on cell(m) - stride_v, alone.
+    """
+    cols = J._columns
+    stride, cells = [0] * J.n, [0] * len(cols[0])
+    for v in reversed(range(J.n)):
+        stride[v] = max(cells) + 1
+        cells = list(map(add, cells, map(mul, cols[v], repeat(stride[v]))))
+    size = max(cells) + 1
+    at_least = []
+    for v, col in enumerate(cols):
+        digits = bytearray(b"0") * size
+        # digit "1" (49) on the cell of each multiple of x_{v+1}
+        any(map(digits.__setitem__, compress(cells, col), repeat(49)))
+        masks = [-1, int(digits[::-1], 2)]
+        for _ in range(max(col)):
+            masks.append(masks[1] & masks[-1] << stride[v])
+        at_least.append(masks)
+    return stride, size, at_least
 
 
 def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     """(rank, equation count) of the linearized system, by a ground closure.
 
-    Term m of N(J) is bit sum(m_v * stride_v), each stride (from x_n down)
-    one past the largest cell so far: no two terms share a cell, and m/x_j
-    and m/delta' sit a fixed stride below m.  Masks of the terms with
-    exponent >= k give each shape (j, delta') its plus pins, minus pins,
-    two-sided edge ends and equation count.  Each generator's ground mask
-    starts as the OR of its pins; a worklist grounds the far end of every
-    edge whose near end is ground, shifting (mask AND near ends) onto the
-    far ends, until no mask grows.  Only edge ends move, so none carries;
-    masking after the shift would be exact too (p*x_j on the cell of a
-    multiple m of x_j in N(J) means p = m/x_j) but shifts full masks.  Then
-    an edge has both ends ground or neither; a dict-keyed union-find on the
+    On the layout of :func:`_layout`, the masks of the terms with exponent
+    >= k give each shape (j, delta') its plus pins, minus pins, two-sided
+    edge ends and equation count.  Each generator's ground mask starts as
+    the OR of its pins; a worklist grounds the far end of every edge whose
+    near end is ground, shifting (mask AND near ends) onto the far ends,
+    until no mask grows.  Only edge ends move, so none carries; masking
+    after the shift would be exact too (p*x_j on the cell of a multiple m
+    of x_j in N(J) means p = m/x_j) but shifts full masks.  Then an edge
+    has both ends ground or neither; a dict-keyed union-find on the
     ungrounded ones leaves T = ungrounded columns - merges components
     besides the ground, and rank = P - T = grounded columns + merges.
     """
-    pos = J._staircase
-    radix = [max(m[v] for m in pos) + 1 for v in range(J.n)]
-    stride, cells = [0] * J.n, [0] * len(pos)
-    for v in reversed(range(J.n)):
-        stride[v] = max(cells) + 1
-        cells = [c + m[v] * stride[v] for c, m in zip(cells, pos)]
-    size = max(cells) + 1
-    at_least = []  # at_least[v][k]: the terms with exponent of x_{v+1} >= k
-    for v in range(J.n):
-        rows = [bytearray(size // 8 + 1) for _ in range(radix[v])]
-        for m, c in zip(pos, cells):
-            rows[m[v]][c >> 3] |= 1 << (c & 7)
-        masks = [int.from_bytes(row, "little") for row in rows] + [0]
-        for k in range(radix[v] - 1, 0, -1):
-            masks[k - 1] |= masks[k]
-        at_least.append(masks)
+    stride, size, at_least = _layout(J)
     ground = [0] * len(J._raw)
     reach = [[] for _ in ground]  # per generator: (other generator, ends, shift)
     edges = []
@@ -231,11 +254,12 @@ def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     for gi, ai, j, delta in _blocks(J):
         shape = shapes.get((j, delta))
         if shape is None:
-            xj, dd = at_least[j - 1][1], at_least[0][0]
-            for v, e in enumerate(delta):  # at_least[v][0] is all of N(J)
-                dd &= at_least[v][min(e, radix[v])]
+            xj, dd = at_least[j - 1][1], -1  # delta' is never 1
+            for e, masks in zip(delta, at_least):
+                if e:
+                    dd &= masks[min(e, len(masks) - 1)]
             both = xj & dd
-            sj, sd = stride[j - 1], sum(e * s for e, s in zip(delta, stride))
+            sj, sd = stride[j - 1], sum(map(mul, delta, stride))
             shape = shapes[j, delta] = (
                 (xj ^ both) >> sj, (dd ^ both) >> sd, both >> sj, both >> sd,
                 sj - sd, (xj | dd).bit_count())
@@ -258,18 +282,18 @@ def _union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
                     ground[h] = grown
                     todo.add(h)
     parent: dict[int, int] = {}
+    find = parent.get
     merges = 0
-
-    def root(a):
-        while (q := parent.get(a, a)) != a:  # path halving
-            parent[a] = a = parent.get(q, q)
-        return a
-
     for g, h, ends, shift in edges:
         loose = bin(ends ^ (ends & ground[g]))[:1:-1]
+        at_g, at_h = g * size, h * size + shift
         p = loose.find("1")
         while p >= 0:
-            a, b = root(g * size + p), root(h * size + p + shift)
+            a, b = at_g + p, at_h + p
+            while (q := find(a, a)) != a:  # path halving
+                parent[a] = a = find(q, q)
+            while (q := find(b, b)) != b:
+                parent[b] = b = find(q, q)
             if a != b:
                 parent[a] = b
                 merges += 1

@@ -472,6 +472,27 @@ def raw_mul_blocks(J: MonomialIdeal) -> list[tuple]:
     return out
 
 
+def tuple_layout(J: MonomialIdeal) -> tuple[list[int], int, list[list[int]]]:
+    """(stride, size, at_least) as ``tangent._layout`` defines them, from the tuple staircase.
+
+    Strides from x_n down, each one past the largest cell so far; at_least[v][k]
+    ORs 1 << cell(m) over the terms m of N(J) with m_v >= k, term by term,
+    for k = 1 .. max + 1, after -1 for k = 0.
+    """
+    terms = list(J._staircase)
+    stride, cells = [0] * J.n, [0] * len(terms)
+    for v in reversed(range(J.n)):
+        stride[v] = max(cells) + 1
+        cells = [c + m[v] * stride[v] for c, m in zip(cells, terms)]
+    assert len(set(cells)) == len(cells), "the layout must be injective"
+    at_least = []
+    for v in range(J.n):
+        top = max(m[v] for m in terms)
+        at_least.append([-1] + [sum(1 << c for c, m in zip(cells, terms) if m[v] >= k)
+                                for k in range(1, top + 2)])
+    return stride, max(cells) + 1, at_least
+
+
 def stream_union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     """(rank, equation count) by union-find over the streamed column pairs.
 

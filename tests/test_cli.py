@@ -202,10 +202,13 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
     ({"vars": 0, "generators": [[1.5]]}, "expected an integer, got 1.5"),
     ({"vars": 0, "generators": [3]}, "expected a list of exponents, got 3"),
     ({"vars": -1, "generators": "ab"}, "expected a list of exponents, got 'a'"),
+    ({"vars": 2, "generators": ""}, "malformed ideal JSON: generators must be a list, got ''"),
+    ({"vars": 2, "generators": {}}, "malformed ideal JSON: generators must be a list, got {}"),
 ])
 def test_ideal_file_malformed_message(tmp_path, capsys, command, ideal, message):
     # the bulk checks of the loader refuse these, and the per-generator
-    # parse names the first offender, in file order
+    # parse names the first offender, in file order; an empty string or
+    # object has none, and is refused as no list rather than read as (0)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(ideal))
     assert run_cli(capsys, command, "--ideal", str(path)) == (1, "", f"error: {message}\n")

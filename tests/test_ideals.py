@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import random
 import time
+from itertools import chain, count
 
 import pytest
 
@@ -41,7 +42,7 @@ from arevlex import (
     truncate_below,
 )
 from arevlex import terms as terms_module
-from arevlex.ideals import _Divisors, _slices
+from arevlex.ideals import _Divisors, _slices, _socle_slices
 from arevlex.terms import raw_divides, raw_key
 
 from helpers import (
@@ -662,6 +663,21 @@ def test_staircase_index_reaches_past_the_top_generator_degree():
         assert colength(J) == len(flat)
         reached_past += sum(flat[-1]) > J.max_gen_degree()
     assert reached_past >= 2
+
+
+def test_staircase_is_the_one_column_decode_zipped():
+    # colength reads the cached columns of N(J); the tuple index is built
+    # from them only when asked for, and equals a decode of the coded slices
+    rng = random.Random(2121)
+    ideals = [almost_revlex_ci(3, (3, 4, 4)), almost_revlex_ci(3, (2, 2, 300))]
+    ideals += [random_artinian_ideal(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
+    for J in ideals:
+        D = colength(J)
+        assert "_staircase" not in J.__dict__
+        assert [len(col) for col in J._columns] == [D] * J.n
+        codes = list(chain.from_iterable(_socle_slices(J, 0)))
+        assert J._staircase == dict(zip(J._codec.decode(codes), count())), J
+        assert len(J._staircase) == D
 
 
 def test_border_generator_count_matches_colon_ideal():

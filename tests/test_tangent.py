@@ -21,6 +21,7 @@ from arevlex import (
     classify_stable,
     colength,
     hc1_bounds,
+    is_stable,
     is_strongly_stable,
     linearized_reduce,
     minimalize,
@@ -42,10 +43,12 @@ from helpers import (
     artinian_stable_ideals,
     ci_degree_grid,
     hom_dim,
+    random_artinian_ideal,
     random_strongly_stable,
     raw_mul_blocks,
     stream_union_find_rank,
     tangent_check_ideals,
+    tuple_layout,
     untruncated_oracle_rows,
 )
 
@@ -376,6 +379,56 @@ def test_ground_closure_equals_stream_on_sparse_staircases(degrees):
     # often leaves N(J)
     J = almost_revlex_ci(len(degrees), degrees)
     assert tangent_module._union_find_rank(J) == stream_union_find_rank(J)
+
+
+def test_layout_masks_equal_the_tuple_definition():
+    # the kernel scatters each column once and shifts for k >= 2; the
+    # reference ORs one bit per term of the tuple staircase and exponent
+    rng = random.Random(21021)
+    ideals = [J for J in artinian_stable_ideals(3, 12) if not is_strongly_stable(J)]
+    for n in range(1, 7):
+        ideals += [random_strongly_stable(rng, n, rng.randint(1, 7 - n // 2), rng.randint(0, 3))
+                   for _ in range(6)]
+        ideals += [J for J in (random_artinian_ideal(rng, n, 4) for _ in range(12))
+                   if is_stable(J)]
+    assert {J.n for J in ideals} == set(range(1, 7)) and not is_strongly_stable(ideals[0])
+    for J in ideals:
+        assert tangent_module._layout(J) == tuple_layout(J), J
+
+
+def test_kernel_takes_exponents_past_one_byte():
+    # x_3 reaches exponent 301 in N(J), past one byte; no byte-wide table may
+    # cap them.  The reference streams the equations off the tuple staircase
+    J = almost_revlex_ci(3, (2, 2, 300))
+    assert max(J._columns[2]) > 255
+    rank, equations = tangent_module._union_find_rank(J)
+    assert (rank, equations) == stream_union_find_rank(J)
+    rep = tangent_dim(J)
+    assert (rep.param_count, rep.rank) == (8400, 4784)
+
+
+def test_tangent_dim_builds_no_tuple_staircase():
+    # the kernel reads N(J) as columns; the tuple index is built only when
+    # the rows, the audit or the dump ask for it
+    J = almost_revlex_ci(3, (3, 4, 4))
+    assert tangent_dim(J).tangent_dim == 286
+    assert "_columns" in J.__dict__ and "_staircase" not in J.__dict__
+
+
+def test_tangent_dim_decomposes_no_block_alone(monkeypatch):
+    # one walk decomposes every block; neither the one-term decomposition
+    # nor a quotient per block may run
+    from arevlex import ideals as ideals_module
+    from arevlex import terms as terms_module
+
+    def refuse(*args):
+        raise AssertionError("tangent_dim must not decompose block by block")
+
+    for module in (tangent_module, ideals_module):
+        monkeypatch.setattr(module, "_pommaret_raw", refuse)
+    monkeypatch.setattr(terms_module, "raw_quotient", refuse)
+    assert tangent_dim(almost_revlex_ci(4, (4, 4, 4, 4))).tangent_dim == 5200
+    assert tangent_dim(almost_revlex_ci(5, (3,) * 5)).tangent_dim == 7643
 
 
 def test_tangent_dim_at_one_point_six_million_parameters():
