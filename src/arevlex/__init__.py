@@ -11,8 +11,7 @@ The package is organized around five layers:
 * :mod:`arevlex.tangent` -- linearized marked-polynomial reduction, exact
   tangent dimensions on punctual Hilbert schemes and singularity
   certificates (with :mod:`arevlex.marked_reduction` as the independent
-  full-reduction audit, computed modulo the square of the parameter ideal,
-  which also serves the per-block ``linearized_reduce``).
+  full-reduction audit, computed modulo the square of the parameter ideal).
 """
 
 from .construct import (
@@ -70,16 +69,13 @@ from .ideals import (
     sous_escalier,
     truncate_below,
 )
-from .marked_reduction import audit_tangent, full_reduce, linearized_reduce, oracle_rows
+from .marked_reduction import audit_tangent, full_reduce, oracle_rows
 from .tangent import (
     ClassificationVerdict,
-    LinearForm,
-    Parameter,
     TangentReport,
     classify_ci,
     classify_stable,
     hc1_bounds,
-    parameters,
     tangent_bounds,
     tangent_dim,
 )

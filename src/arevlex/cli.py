@@ -70,7 +70,7 @@ def cmd_hilbert(args) -> int:
         degrees = _parse_degrees(args.degrees)
         profile = h_mod.CIProfile.of(degrees)
         shown = args.upto if args.upto is not None else profile.m[-1]
-        H = h_mod.ci_hilbert(degrees, len(degrees), shown)
+        H = h_mod.ci_hilbert(degrees)
 
         def profile_lines():
             cs = [h_mod.c_index(H, s) for s in range(len(degrees))]

@@ -156,7 +156,7 @@ def validate_degrees(degrees) -> tuple[int, ...]:
 # Hilbert function of a complete intersection
 
 
-def ci_hilbert(degrees, i: int | None = None, up_to: int | None = None) -> HilbertFunction:
+def ci_hilbert(degrees, i: int | None = None) -> HilbertFunction:
     """H^[i] of a complete intersection cut by forms of the first i degrees.
 
     Built by the hypersurface-section recurrence
@@ -169,8 +169,7 @@ def ci_hilbert(degrees, i: int | None = None, up_to: int | None = None) -> Hilbe
         i = len(degrees)
     if not 1 <= i <= len(degrees):
         raise DomainError(f"index i={i} out of range 1..{len(degrees)}")
-    m_i = sum(degrees[:i]) - i
-    top = max(up_to if up_to is not None else 0, m_i + 1)
+    top = sum(degrees[:i]) - i + 1
     vals = [1 if t < degrees[0] else 0 for t in range(top + 1)]
     for k in range(2, i + 1):
         d = degrees[k - 1]
@@ -266,20 +265,20 @@ def pardue_truncation(H: HilbertFunction, s: int) -> HilbertFunction:
 def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     """Table of |N(J)_t| with the eventual behavior inferred when possible.
 
-    Artinian ideals get an eventual-zero tag (the table is extended through
-    the socle), nonzero strongly stable ideals of Krull dimension one an
-    eventual-constant tag (extended through the regularity); anything else
-    is reported as a bare table.
+    Artinian ideals get an eventual-zero tag (table through the first empty
+    slice), nonzero strongly stable ideals of Krull dimension one an
+    eventual-constant tag (through the regularity); ``up_to`` sizes only
+    the bare table of any other ideal.
     """
     if up_to < 0:
         raise DomainError("up_to must be nonnegative")
     if J.is_artinian:
-        counts = [len(s) for s in _socle_slices(J, up_to)]
+        counts = [len(s) for s in _socle_slices(J)]
         return HilbertFunction(tuple(counts), Eventual("zero"))
     # Krull dimension one needs n-1 pure powers; count them before the
     # stability check, which builds the slices through the top degree
     if not J.is_zero and len(J._pure_powers) == J.n - 1 and is_strongly_stable(J):
-        counts = [len(s) for s in _slices(J, max(up_to, J.max_gen_degree()))]
+        counts = [len(s) for s in _slices(J, J.max_gen_degree())]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
     return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
 

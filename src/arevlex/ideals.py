@@ -268,7 +268,7 @@ class MonomialIdeal:
         """The exponents of each variable over N(J), in staircase order, for Artinian J."""
         if not self.is_artinian:
             raise DomainError("the staircase index requires an Artinian ideal")
-        slices = _socle_slices(self, 0)
+        slices = _socle_slices(self)
         return self._codec.columns(list(chain.from_iterable(slices)))
 
     @cached_property
@@ -544,14 +544,14 @@ def _moves_leave(gens: list[int], outside: list[int], codec: _Codec) -> bool:
     return False
 
 
-def _socle_slices(J: MonomialIdeal, up_to: int) -> list[list[int]]:
-    """Slices of an Artinian J through ``up_to`` and through the first empty one.
+def _socle_slices(J: MonomialIdeal) -> list[list[int]]:
+    """Slices of an Artinian J through the first empty one.
 
     N(J)_{reg-1} holds the cofactor of a top-degree generator, so the first
     empty slice lies at or past the top generator degree reg; for a stable J
     it is the slice at reg.
     """
-    slices = _slices(J, max(up_to, J.max_gen_degree()))
+    slices = _slices(J, J.max_gen_degree())
     while slices[-1]:
         slices.append(_slices(J, len(slices))[-1])
     return slices

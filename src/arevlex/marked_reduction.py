@@ -34,14 +34,8 @@ from __future__ import annotations
 from .errors import DomainError
 from .ideals import MonomialIdeal, _pommaret_raw, colength
 from .linalg import row_space_equal
-from .tangent import (
-    LinearForm,
-    Parameter,
-    _linear_rows,
-    _require_artinian_stable,
-    rank_agrees_with_elimination,
-)
-from .terms import Term, raw_key, raw_min_var, raw_mul, raw_var
+from .tangent import _linear_rows, _require_artinian_stable, rank_agrees_with_elimination
+from .terms import raw_key, raw_min_var, raw_mul, raw_var
 
 CPoly = dict  # () or (pid,) -> int
 
@@ -89,28 +83,6 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     for b, i in pos.items():
         _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -1)
     return {m: c for m, c in poly.items() if c and m in pos}
-
-
-def linearized_reduce(J: MonomialIdeal, gamma: Term, j: int) -> dict[Term, LinearForm]:
-    """Linear part of the remainder of x_j * f_gamma, one form per monomial.
-
-    The :class:`~arevlex.tangent.Parameter` rendering of :func:`full_reduce`:
-    keys in N(J) order, and in each form the +1 entry before the -1 entry.
-    """
-    _require_artinian_stable(J)
-    gi = J._gen_index.get(gamma.exponents)
-    if gi is None:
-        raise DomainError(f"{gamma} is not a minimal generator")
-    remainder = full_reduce(J, gi, j)
-    gens = J.min_gens
-    sous = [Term(b) for b in J._staircase]
-    D = len(sous)
-    return {
-        sous[i]: LinearForm(tuple(
-            (Parameter(gens[p // D], sous[p % D]), c) for (p,), c in remainder[b].items()))
-        for b, i in J._staircase.items()
-        if b in remainder
-    }
 
 
 def oracle_rows(J: MonomialIdeal):

@@ -12,10 +12,8 @@ part of its coefficients is assembled here directly:
 
 Coefficients that land back inside J only contribute at quadratic order
 and are dropped.  :mod:`arevlex.marked_reduction` re-derives the same rows,
-list for list, by one rewrite per block modulo (C)^2; it is also the home of
-:func:`~arevlex.marked_reduction.linearized_reduce`, the per-block view of
-these equations.  The test suite checks that reduction against the
-untruncated polynomial one.
+list for list, by one rewrite per block modulo (C)^2; the test suite checks
+that reduction against the untruncated polynomial one.
 
 Every equation therefore has at most two entries, +1 and -1.  The equation
 on a monomial m gets its +C term from at most one beta, because
@@ -29,9 +27,9 @@ number of components, whatever the order of the unions.
 form one ground mask per generator, a closure grounds every column that an
 edge ties to the ground, and a union-find runs only on the rest, so
 rank = P - T with T the number of ungrounded components.  No
-elimination and no fractions.  :func:`_equation_pairs` streams the same
-blocks of :func:`_blocks` as rows, the ``--out`` dump and the audit, where
-fraction-free elimination (:mod:`arevlex.linalg`) checks the kernel.
+elimination and no fractions.  The equations have one rendering: column
+pairs (:func:`_equation_pairs`), made rows by :func:`_linear_rows` for the
+``--out`` dump and the audit, where elimination checks the kernel.
 
 The parameters are laid out generator-major, then N(J) in degree-major
 increasing degrevlex: C[gens[gi], beta] is column gi*D + pos[beta], with
@@ -70,25 +68,7 @@ from .ideals import (
     is_strongly_stable,
 )
 from .linalg import rank as matrix_rank
-from .terms import Term, raw_min_var
-
-
-@dataclass(frozen=True)
-class Parameter:
-    """One coordinate C[alpha, beta] of the ambient space of the marked scheme."""
-
-    alpha: Term
-    beta: Term
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """An integer linear functional on the parameters; no zero entries stored."""
-
-    coefficients: tuple[tuple[Parameter, int], ...]
-
-    def as_dict(self) -> dict[Parameter, int]:
-        return dict(self.coefficients)
+from .terms import raw_min_var
 
 
 @dataclass(frozen=True)
@@ -127,7 +107,7 @@ class ClassificationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# parameters and the linearized reduction
+# the linearized system
 
 
 def _require_artinian_stable(J: MonomialIdeal):
@@ -135,13 +115,6 @@ def _require_artinian_stable(J: MonomialIdeal):
         raise DomainError("operation requires an Artinian ideal")
     if not is_stable(J):
         raise StabilityError("operation requires a stable ideal")
-
-
-def parameters(J: MonomialIdeal) -> list[Parameter]:
-    """The |B_J| x |N(J)| parameters, generator-major, then increasing on beta."""
-    _require_artinian_stable(J)
-    betas = [Term(b) for b in J._staircase]
-    return [Parameter(alpha, beta) for alpha in J.min_gens for beta in betas]
 
 
 def _blocks(J: MonomialIdeal) -> list[tuple[int, int, int, tuple[int, ...]]]:

@@ -413,7 +413,7 @@ def paper_lift_ci(n: int, degrees) -> MonomialIdeal:
     for i in range(2, n + 1):
         d_i = degrees[i - 1]
         d_next = degrees[i] if i < n else d_top
-        H = ci_hilbert(degrees[:i], i, d_next + 1)
+        H = ci_hilbert(degrees[:i])
         # extend the ring by one (smaller) variable and rebuild the slices
         gens = [g + (0,) for g in gens]
         inside = set(gens)

@@ -70,6 +70,30 @@ def test_hilbert_ideal_file(tmp_path, capsys):
     assert out.splitlines()[0] == "1,3,6,6,5,5"
 
 
+def test_hilbert_tables_stop_at_their_tail(tmp_path, capsys, monkeypatch):
+    # --upto past the tail prints the CI values and then zeros, from a table
+    # that stops one past the socle and an ideal with no slice past its first
+    # empty one
+    from arevlex import almost_revlex_ci, cli
+
+    ci_hilbert, hf_of_ideal = cli.h_mod.ci_hilbert, cli.h_mod.hf_of_ideal
+    tables, ideals = [], []
+    monkeypatch.setattr(cli.h_mod, "ci_hilbert",
+                        lambda *a: tables.append(ci_hilbert(*a)) or tables[-1])
+    monkeypatch.setattr(cli.h_mod, "hf_of_ideal",
+                        lambda J, up_to: ideals.append(J) or hf_of_ideal(J, up_to))
+    expected = ",".join(["1", "3", "3", "1"] + ["0"] * 199997)
+    code, out, _ = run_cli(capsys, "hilbert", "-d", "2,2,2", "--upto", "200000")
+    assert code == 0 and out.splitlines()[0] == expected
+    assert [len(H.values) for H in tables] == [5]
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(ideal_to_json(almost_revlex_ci(3, (2, 2, 2)))))
+    code, out, _ = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "200000")
+    assert code == 0 and out == expected + "\n"
+    store = ideals[0]._slice_store
+    assert not store[-1] and all(store[:-1])
+
+
 def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys):
     # construct, then hilbert --ideal on its output, prints the stored table
     # for every list of the grid
@@ -404,6 +428,34 @@ def test_source_has_no_unused_import():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, found
+
+
+def test_public_surface_is_the_declared_list():
+    # adding or removing a public name of the package is a declared change
+    import types
+
+    import arevlex
+
+    public = sorted(name for name, value in vars(arevlex).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == [
+        "AlgebraError", "CIProfile", "ClassificationVerdict", "DimensionError",
+        "DomainError", "Eventual", "HilbertFunction", "MonomialIdeal",
+        "NoAlmostRevlexIdeal", "Series", "StabilityError", "TangentReport", "Term",
+        "almost_revlex_ci", "almost_revlex_for", "audit_tangent",
+        "border_generator_count", "c_index", "check_pardue_decrease",
+        "check_symmetry", "check_unimodal_ranges", "ci_hilbert", "ci_hilbert_oracle",
+        "classify_ci", "classify_stable", "cmp_degrevlex", "colength", "contains",
+        "derivative", "enumerate_terms", "extend_ring", "first_expansion",
+        "full_reduce", "greatest", "hc1_bounds", "hf_from_json", "hf_of_ideal",
+        "ideal_from_json", "ideal_to_json", "ideal_to_text", "is_almost_revlex",
+        "is_quasi_stable", "is_revlex_ideal", "is_revlex_segment", "is_stable",
+        "is_strongly_stable", "krull_dim", "mingen_count_ci", "mingen_count_formula",
+        "minimalize", "one", "oracle_rows", "pardue_truncation", "pommaret_decompose",
+        "reduction_number", "regularity", "sous_escalier", "tangent_bounds",
+        "tangent_dim", "term", "term_from_json", "term_from_text", "term_to_text",
+        "truncate_below", "variable", "varrho",
+    ]
 
 
 def test_source_has_no_orphaned_private_helper():

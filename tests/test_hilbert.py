@@ -38,7 +38,7 @@ def curve_hf() -> HilbertFunction:
 
 
 def test_ci_hilbert_golden_4578():
-    H = ci_hilbert((4, 5, 7, 8), 4, 11)
+    H = ci_hilbert((4, 5, 7, 8), 4)
     assert H.table(10) == [1, 4, 10, 20, 34, 51, 70, 89, 105, 116, 120]
     assert H(11) == 116
     H3 = ci_hilbert((4, 5, 7, 8), 3)
@@ -195,6 +195,22 @@ def test_hf_of_curve_ideal_constant_tail():
     H = hf_of_ideal(curve_ideal(), 5)
     assert H.table(5) == [1, 3, 6, 6, 5, 5]
     assert H.eventual == Eventual("constant", 5)
+
+
+def test_hf_of_ideal_caches_no_slice_past_its_tail():
+    # the eventual tag gives every value past the tail, so a large up_to
+    # builds no further slice of an Artinian or Krull-dimension-1 ideal
+    from arevlex import regularity
+
+    J = ci_ideal_344()
+    H = hf_of_ideal(J, 10**5)
+    store = J._slice_store
+    assert not store[-1] and all(store[:-1])
+    assert H.table(12) == ci_hilbert((3, 4, 4)).table(12) and H(10**5) == 0
+    K = curve_ideal()
+    H = hf_of_ideal(K, 10**5)
+    assert len(K._slice_store) <= regularity(K) + 1
+    assert H.table(5) == [1, 3, 6, 6, 5, 5] and H(10**5) == 5
 
 
 def test_checks_on_grid():

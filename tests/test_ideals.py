@@ -675,7 +675,7 @@ def test_staircase_is_the_one_column_decode_zipped():
         D = colength(J)
         assert "_staircase" not in J.__dict__
         assert [len(col) for col in J._columns] == [D] * J.n
-        codes = list(chain.from_iterable(_socle_slices(J, 0)))
+        codes = list(chain.from_iterable(_socle_slices(J)))
         assert J._staircase == dict(zip(J._codec.decode(codes), count())), J
         assert len(J._staircase) == D
 

@@ -23,9 +23,7 @@ from arevlex import (
     hc1_bounds,
     is_stable,
     is_strongly_stable,
-    linearized_reduce,
     minimalize,
-    parameters,
     tangent_bounds,
     tangent_dim,
     term,
@@ -70,28 +68,13 @@ def kernel_check_ideals():
     return ideals
 
 
-def test_parameter_counts():
-    assert len(parameters(almost_revlex_ci(3, (3, 4, 4)))) == 14 * 48
-    assert len(parameters(minimalize([term(1,)]))) == 1
-    assert len(parameters(minimalize([term(2, 0), term(1, 1), term(0, 2)]))) == 9
-
-
-def test_parameter_order_generator_major():
-    J = almost_revlex_ci(3, (2, 2, 2))
-    params = parameters(J)
-    D = colength(J)
-    for gi, gen in enumerate(J.min_gens):
-        block = params[gi * D : (gi + 1) * D]
-        assert all(p.alpha == gen for p in block)
-        betas = [p.beta for p in block]
-        assert betas == sorted(betas, key=lambda b: b.sort_key())
-
-
 def test_parameters_requires_artinian_stable():
-    with pytest.raises(DomainError):
-        parameters(minimalize([term(2, 0)]))
-    with pytest.raises(StabilityError):
-        parameters(minimalize([term(2, 0), term(0, 2)]))
+    # the kernel and the audit oracle both refuse a non-Artinian or unstable J
+    for check in (tangent_dim, marked_reduction.oracle_rows):
+        with pytest.raises(DomainError):
+            check(minimalize([term(2, 0)]))
+        with pytest.raises(StabilityError):
+            check(minimalize([term(2, 0), term(0, 2)]))
 
 
 def test_single_variable_point():
@@ -149,45 +132,6 @@ def test_vanishing_columns():
                 moved[n - 1] += 1
                 if contains(J, Term(tuple(moved))):
                     assert gi * D + i not in touched
-
-
-def test_linearized_reduce_structure():
-    J = almost_revlex_ci(3, (2, 2, 2))
-    gamma = term(1, 0, 2)  # x1*x3^2, minimal variable x3
-    for j in (1, 2):
-        forms = linearized_reduce(J, gamma, j)
-        assert forms  # some equations exist
-        for monomial, form in forms.items():
-            entries = form.as_dict()
-            assert 1 <= len(entries) <= 2
-            assert set(entries.values()) <= {1, -1}
-            for p, _ in entries.items():
-                assert p.alpha in J.min_gens
-    with pytest.raises(DomainError):
-        linearized_reduce(J, term(2, 0, 0), 1)  # x1 is not above min(x1^2)
-    with pytest.raises(DomainError):
-        linearized_reduce(J, term(1, 1, 1), 1)  # not a generator
-    with pytest.raises(DomainError):
-        linearized_reduce(J, term(1, 0, 2, 0), 1)  # over another variable count
-
-
-def test_linearized_reduce_matches_assembled_system():
-    # the public per-pair operation and the internal assembly must agree
-    J = almost_revlex_ci(3, (2, 2, 3))
-    params = parameters(J)
-    index = {(p.alpha, p.beta): i for i, p in enumerate(params)}
-    per_pair = []
-    for gamma in J.min_gens:
-        for j in range(1, gamma.min_var()):
-            for _, form in linearized_reduce(J, gamma, j).items():
-                per_pair.append(
-                    {index[(p.alpha, p.beta)]: c for p, c in form.as_dict().items()}
-                )
-    rows, nparams, _ = _linear_rows(J)
-    assert nparams == len(params)
-    assert sorted(map(sorted, (r.items() for r in per_pair))) == sorted(
-        map(sorted, (r.items() for r in rows))
-    )
 
 
 def test_sandwich_on_random_ideals():
