@@ -87,27 +87,21 @@ def cmd_hilbert(args) -> int:
         def profile_lines():
             return []
     values = H.table(shown)
-    return _output(args, H.to_json() | {"values": values},
-                   lambda: [",".join(map(str, values))] + profile_lines())
-
-
-def _resolve_artinian_ideal(args) -> i_mod.MonomialIdeal:
-    if args.degrees:
-        degrees = _parse_degrees(args.degrees)
-        return c_mod.almost_revlex_ci(len(degrees), degrees)
-    J = _load_ideal(args.ideal)
-    if J.is_zero or not J.is_artinian:
-        raise AlgebraError("ideal is not Artinian: some variable has no pure power")
-    if not i_mod.is_stable(J):
-        raise AlgebraError(
-            "ideal is not stable: quasi-stable="
-            f"{i_mod.is_quasi_stable(J)}, stable=False"
-        )
-    return J
+    data = H.to_json() | {"values": values}
+    # a cut view keeps the tail tag only if the tag still holds past the cut
+    # (a constant tag from the last value shown on, as HilbertFunction asks)
+    ev = H.eventual
+    if ev and set(H.values[shown + (ev.kind == "zero"):]) - {ev.value}:
+        data["eventual"] = None
+    return _output(args, data, lambda: [",".join(map(str, values))] + profile_lines())
 
 
 def cmd_tangent(args) -> int:
-    J = _resolve_artinian_ideal(args)
+    if args.degrees:
+        degrees = _parse_degrees(args.degrees)
+        J = c_mod.almost_revlex_ci(len(degrees), degrees)
+    else:
+        J = _load_ideal(args.ideal)
     report = t_mod.tangent_dim(J)
     audit_line = None
     if args.audit:

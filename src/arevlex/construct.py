@@ -55,7 +55,7 @@ from .ideals import (
     _trusted,
     is_almost_revlex,
 )
-from .terms import Term, _unchecked_terms
+from .terms import Term
 
 
 def greatest(terms: list[Term], h: int) -> list[Term]:
@@ -94,9 +94,7 @@ def _greedy(n: int, H: HilbertFunction, end: int) -> MonomialIdeal:
         # each block is increasing and of a higher degree than the last, so
         # gens stays sorted without a sort
         gens += new
-    raw = tuple(codec.decode(gens))
-    return _trusted(n, _unchecked_terms(raw), raw,
-                    _codec=codec, _slice_store=store, _stable=True)
+    return _trusted(n, tuple(codec.decode(gens)), _codec=codec, _slice_store=store, _stable=True)
 
 
 def almost_revlex_ci(n: int, degrees) -> MonomialIdeal:

@@ -41,8 +41,8 @@ above sum_{u>v} M*R^(u-1).  So block v of the expansion, x_v times the
 terms whose smallest variable is x_v or above, is one subtraction over a
 suffix that one ``bisect`` finds (``_expand_slice``).  An Artinian J takes
 M = its largest pure-power exponent (reg, for a stable J), which bounds
-every degree; any other J takes M from the degree asked for, and a later
-request past M recodes the cached slices under a larger M.
+every degree; any other J takes M = its top generator degree (at least 1),
+and a request past M recodes the cached slices under a larger M.
 
 The same recursion decides stability (B_J is a Pommaret basis iff J is
 stable).  While I = (B_J in degrees < t) is stable, E(N(J)_{t-1}) is every
@@ -66,14 +66,14 @@ x_j^e in B_J; being Artinian, the Krull dimension, the reduction numbers
 and the codec bound M all read that table.
 
 Positional data is built once per ideal, on first use, and cached.
-``_gen_index`` maps each generator to its place in B_J.  ``_columns``, for
-an Artinian J only, lists the exponents of each variable over N(J) in
-degree-major increasing degrevlex order, one ``_Codec.columns`` decode of
-the slices through the first empty one (which may lie past the top
-generator degree when J is not stable); its length is :func:`colength`, and
-the tangent kernel reads nothing else of N(J).  ``_staircase`` maps each
-term of N(J) to its place, zipped from the columns only when the equation
-rows, the audit oracle or the marked reduction ask for it.
+``_columns``, for an Artinian J only, lists the exponents of each variable
+over N(J) in degree-major increasing degrevlex order, one ``_Codec.columns``
+decode of the slices through the first empty one (which may lie past the
+top generator degree when J is not stable); its length is
+:func:`colength`, and the tangent kernel reads nothing else of N(J).
+``_staircase`` maps each term of N(J) to its place, zipped from the columns
+only when the equation rows, the audit oracle or the marked reduction ask
+for it.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
     Term,
     _exponents_from_json,
-    _unchecked_terms,
     enumerate_terms,
     json_int,
     raw_key,
@@ -259,11 +258,6 @@ class MonomialIdeal:
         return True
 
     @cached_property
-    def _gen_index(self) -> dict[tuple[int, ...], int]:
-        """{generator: its position in B_J}."""
-        return dict(zip(self._raw, range(len(self._raw))))
-
-    @cached_property
     def _columns(self) -> list[list[int]]:
         """The exponents of each variable over N(J), in staircase order, for Artinian J."""
         if not self.is_artinian:
@@ -304,10 +298,21 @@ class MonomialIdeal:
             yield head
 
     @cached_property
+    def _codec(self) -> _Codec:
+        return _Codec(self.n, _bound(self))
+
+    @cached_property
+    def _slice_store(self) -> list[list[int]]:
+        # the coded slices N(J)_0, N(J)_1, ... computed so far (see _slices)
+        return [[] if self._raw and not any(self._raw[0]) else [self._codec.top]]
+
+    @cached_property
     def _stable(self) -> bool:
+        if not self._raw or not any(self._raw[0]):  # the zero or the unit ideal
+            return True
         # the staircase recursion decides stability degree by degree (see
         # _slices); the last generator degree settles it either way
-        _slices(self, self.max_gen_degree() if self._raw else 0)
+        _slices(self, self.max_gen_degree())
         return self.__dict__["_stable"]
 
     @cached_property
@@ -374,8 +379,7 @@ def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
     if not all(alone):
         raw = list(compress(raw, alone))
         index = _Divisors(raw)
-    raw = tuple(raw)
-    return _trusted(n, _unchecked_terms(raw), raw, _divisors=index)
+    return _trusted(n, tuple(raw), _divisors=index)
 
 
 def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
@@ -390,17 +394,19 @@ def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
     return all(map(lt, keys, later))
 
 
-def _trusted(n: int, min_gens: tuple[Term, ...], raw: tuple[tuple[int, ...], ...],
-             **derived) -> MonomialIdeal:
+def _trusted(n: int, raw: tuple[tuple[int, ...], ...], **seeds) -> MonomialIdeal:
     """The ideal on a basis that its builder proved sorted, distinct and minimal.
 
-    Skips the basis checks of :class:`MonomialIdeal`, which would only repeat
-    that proof, and seeds the cached data the builder already holds
-    (``_divisors``, or ``_codec``, ``_slice_store`` and ``_stable``).  Only
-    :func:`minimalize`, the file loader and the greedy construction call it.
+    Skips the checks of :class:`MonomialIdeal` and of :class:`Term`, which
+    would only repeat that proof, and seeds the cached data the builder
+    already holds (``_divisors``, or ``_codec``, ``_slice_store`` and
+    ``_stable``).  Only :func:`_minimal` and the greedy construction call it.
     """
+    gens = list(map(object.__new__, repeat(Term, len(raw))))
+    for g, e in zip(gens, raw):
+        g.__dict__["exponents"] = e
     J = object.__new__(MonomialIdeal)
-    J.__dict__.update(n=n, min_gens=min_gens, _raw=raw, **derived)
+    J.__dict__.update(n=n, min_gens=tuple(gens), _raw=raw, **seeds)
     return J
 
 
@@ -447,18 +453,12 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
     Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
     (see the module docstring): the verdict lands in ``J._stable`` at the
     first failing move or at the top generator degree.  The codes are those
-    of ``J._codec``; the computed prefix is cached on the ideal and only
+    of ``J._codec``; the computed prefix (``J._slice_store``) is only
     extended; a non-Artinian J asked past the codec's bound recodes it under
     a larger one.  Agreement with the definitions is pinned by tests.
     """
-    store = J.__dict__.get("_slice_store")
-    if store is None:
-        codec = J.__dict__["_codec"] = _Codec(J.n, _bound(J, upto))
-        unit = bool(J._raw) and not sum(J._raw[0])  # B_J = {1}
-        store = J.__dict__["_slice_store"] = [[] if unit else [codec.top]]
-        if not J._raw or unit:
-            J.__dict__["_stable"] = True
-    elif upto > J._codec.M and not J.is_artinian:
+    store = J._slice_store
+    if upto > J._codec.M and not J.is_artinian:
         # recode the slices so far under a bound at least twice as large
         old, codec = J._codec, _Codec(J.n, max(upto, 2 * J._codec.M))
         store[:] = [codec.encode(old.decode(sl)) for sl in store]
@@ -487,17 +487,17 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
     return store[: upto + 1]
 
 
-def _bound(J: MonomialIdeal, upto: int) -> int:
-    """The exponent bound M of J's codec for the slices through degree ``upto``.
+def _bound(J: MonomialIdeal) -> int:
+    """The first exponent bound M of J's codec.
 
     An Artinian J takes its largest pure power: no term of N(J) or B_J has a
     larger exponent of x_v than x_v's pure power, in any degree.  Otherwise
-    a degree-t term has no exponent above t, and the first M covers the top
-    generator degree as well, which the stability verdict reaches.
+    a degree-t term has no exponent above t, and M covers the top generator
+    degree, which the stability verdict reaches; ``_slices`` recodes past it.
     """
     if J.is_artinian:
         return max(J._pure_powers.values())
-    return max(upto, sum(J._raw[-1]) if J._raw else 0)
+    return max(sum(J._raw[-1]) if J._raw else 0, 1)
 
 
 def _remove_sorted(exp: list[int], gens: list[int]) -> list[int]:
@@ -662,18 +662,17 @@ def pommaret_decompose(J: MonomialIdeal, tau: Term) -> tuple[Term, Term]:
         raise StabilityError("Pommaret decomposition implemented for stable ideals")
     if tau.nvars != J.n:
         raise DimensionError("term over the wrong variable count")
-    a, d = _pommaret_raw(J, tau.exponents)
-    return Term(a), Term(d)
+    gi, d = _pommaret_raw(J, tau.exponents)
+    return J.min_gens[gi], Term(d)
 
 
-def _pommaret_raw(
-    J: MonomialIdeal, e: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # every caller has checked that J is stable, where the head is unique
+def _pommaret_raw(J: MonomialIdeal, e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # (gi, delta) with e = B_J[gi]*delta, the one-term form of _heads; every
+    # caller has checked that J is stable, where the head is unique
     (head,) = J._heads((e,))
     if head is None:
         raise DomainError(f"term {e} is not in the ideal")
-    return J._raw[head[0]], head[1]
+    return head
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ fixed subset.
 
 A coefficient is a dict mapping ``()`` (the constant) or ``(pid,)`` (the
 parameter with that id) to a nonzero integer.  The id of C[gens[a], b] is
-a*D + pos[b], the column of :mod:`arevlex.tangent`: a comes from the
-ideal's generator index ``_gen_index`` and pos from its staircase index
-``_staircase``, both built once per ideal, so the oracle keeps no column
-table of its own.
+a*D + pos[b], the column of :mod:`arevlex.tangent`: a comes from the head
+walk and pos from the ideal's staircase index ``_staircase``, built once per
+ideal, so the oracle keeps no column table of its own.
 """
 
 from __future__ import annotations
@@ -74,11 +73,11 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     pos = J._staircase
     D = len(pos)
     xj = raw_var(J.n, j)
-    alpha, delta = _pommaret_raw(J, raw_mul(xj, gens[gi]))
+    ai, delta = _pommaret_raw(J, raw_mul(xj, gens[gi]))
     poly: dict[tuple[int, ...], CPoly] = {}
     for b, i in pos.items():
         _add_term(poly.setdefault(raw_mul(xj, b), {}), (gi * D + i,), 1)
-    base = J._gen_index[alpha] * D
+    base = ai * D
     # subtract x^delta * f_alpha; its head cancels x_j * x^gamma exactly
     for b, i in pos.items():
         _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -1)

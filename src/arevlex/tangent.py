@@ -38,8 +38,8 @@ D = colength(J).  A :class:`MonomialIdeal` decodes N(J) once, into
 it.  :func:`tangent_dim` reads only those columns, laying N(J) out and
 masking it column-wise (:func:`_layout`), and takes every block's head from
 one walk (``MonomialIdeal._heads``).  The rows, the dump and the audit read
-``_gen_index`` (generator -> gi) and ``_staircase`` (term -> pos, zipped
-from the columns on first use), as :mod:`arevlex.marked_reduction` does.
+``_staircase`` (term -> pos, zipped from the columns on first use), as
+:mod:`arevlex.marked_reduction` does.
 
 The tangent dimension is the parameter count minus that rank; comparing it
 with n*D (the dimension of the component through the lexicographic point)
@@ -64,6 +64,7 @@ from .ideals import (
     _pommaret_raw,
     border_generator_count,
     colength,
+    is_quasi_stable,
     is_stable,
     is_strongly_stable,
 )
@@ -111,10 +112,11 @@ class ClassificationVerdict:
 
 
 def _require_artinian_stable(J: MonomialIdeal):
-    if J.is_zero or not J.is_artinian:
-        raise DomainError("operation requires an Artinian ideal")
+    if not J.is_artinian:
+        raise DomainError("ideal is not Artinian: some variable has no pure power")
     if not is_stable(J):
-        raise StabilityError("operation requires a stable ideal")
+        raise StabilityError(f"ideal is not stable: quasi-stable={is_quasi_stable(J)}, "
+                             "stable=False")
 
 
 def _blocks(J: MonomialIdeal) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -149,7 +151,7 @@ def _equation_pairs(J: MonomialIdeal):
     order in which :func:`arevlex.marked_reduction.oracle_rows` reads the
     same equations off its remainders.
     """
-    pos, index = J._staircase, J._gen_index
+    pos = J._staircase
     D = len(pos)
     # div[v][i]: the position of m/x_{v+1} for the m at position i, or -1;
     # N(J) is an order ideal, so they compose to m/delta' (a trailing -1 stays)
@@ -158,7 +160,7 @@ def _equation_pairs(J: MonomialIdeal):
     by_delta: dict[tuple[int, ...], list[int]] = {}
     for gi, g in enumerate(J._raw):
         for j in range(1, raw_min_var(g)):
-            alpha, delta = _pommaret_raw(J, g[: j - 1] + (g[j - 1] + 1,) + g[j:])
+            ai, delta = _pommaret_raw(J, g[: j - 1] + (g[j - 1] + 1,) + g[j:])
             qmap = by_delta.get(delta)
             if qmap is None:
                 qmap = list(range(D)) + [-1]
@@ -166,7 +168,7 @@ def _equation_pairs(J: MonomialIdeal):
                     for _ in range(e):
                         qmap = [div[v][i] for i in qmap]
                 by_delta[delta] = qmap
-            plus0, minus0 = gi * D, index[alpha] * D
+            plus0, minus0 = gi * D, ai * D
             yield from [
                 (plus0 + p if p >= 0 else -1, minus0 + q if q >= 0 else -1)
                 for p, q in zip(div[j - 1], qmap)

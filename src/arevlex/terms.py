@@ -13,8 +13,7 @@ hot loops; :class:`Term` is the hashable value type exposed to callers.
 A generator list read from JSON is checked in bulk (``_exponents_from_json``:
 one pass per check over the whole list); only a list that fails a check
 goes through :func:`term_from_json` term by term, which names the first
-offender.  ``_unchecked_terms`` wraps tuples that the library has already
-validated or made, skipping the checks of ``Term(...)``.
+offender.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
 from operator import add, neg, sub
 
@@ -176,14 +175,6 @@ class Term:
 
     def to_json(self) -> list[int]:
         return list(self.exponents)
-
-
-def _unchecked_terms(raw) -> tuple[Term, ...]:
-    """Terms on exponent tuples that the library has validated or made, unchecked."""
-    out = list(map(object.__new__, repeat(Term, len(raw))))
-    for t, e in zip(out, raw):
-        t.__dict__["exponents"] = e
-    return tuple(out)
 
 
 def term(*exponents: int) -> Term:

@@ -253,7 +253,6 @@ def untruncated_oracle_rows(J: MonomialIdeal):
     sset = set(sous)
     col = {(a, b): i for i, (a, b) in enumerate(
         (a, b) for a in range(len(gens)) for b in sous)}
-    gidx = {g: i for i, g in enumerate(gens)}
 
     def add(poly, m, coeff):
         dest = poly.setdefault(m, {})
@@ -277,10 +276,11 @@ def untruncated_oracle_rows(J: MonomialIdeal):
                     break
                 target = max(inside, key=raw_key)
                 coeff = poly.pop(target)
-                alpha, delta = _pommaret_raw(J, target)
+                ai, delta = _pommaret_raw(J, target)
+                assert raw_mul(gens[ai], delta) == target, (J, target)
                 for b in sous:
                     add(poly, raw_mul(delta, b),
-                        untruncated_mul_param(coeff, col[(gidx[alpha], b)], -1))
+                        untruncated_mul_param(coeff, col[(ai, b)], -1))
             for m in sorted(poly, key=raw_key):
                 lin = {mono[0]: c for mono, c in poly[m].items() if len(mono) == 1}
                 if lin:
@@ -463,12 +463,13 @@ def raw_mul_blocks(J: MonomialIdeal) -> list[tuple]:
     Forms x_j*g as ``raw_mul(raw_var(n, j), g)``, as the audit oracle
     ``marked_reduction.full_reduce`` does, and splits it by its head.
     """
-    where = {g: i for i, g in enumerate(J._raw)}
     out = []
     for gi, g in enumerate(J._raw):
         for j in range(1, raw_min_var(g)):
-            alpha, delta = _pommaret_raw(J, raw_mul(raw_var(J.n, j), g))
-            out.append((gi, where[alpha], j, delta))
+            target = raw_mul(raw_var(J.n, j), g)
+            ai, delta = _pommaret_raw(J, target)
+            assert raw_mul(J._raw[ai], delta) == target, (J, target)
+            out.append((gi, ai, j, delta))
     return out
 
 

@@ -107,6 +107,52 @@ def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys):
         assert (code, out, err) == (0, entry["hilbert"], ""), entry["degrees"]
 
 
+@pytest.mark.parametrize("source, tail", [
+    ("2,2,2", "zero"),
+    ("2,3", "zero"),
+    ("3,4,4", "zero"),
+    ("2,2,2,2", "zero"),
+    ((3, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [1, 0, 1], [0, 1, 1], [0, 0, 2]]), "zero"),
+    ((2, [[2, 0], [0, 2]]), "zero"),  # Artinian, not stable
+    ((3, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [1, 0, 2], [0, 1, 2]]), "constant"),
+    ((3, [list(g) for g in CURVE_GENS]), "constant"),  # Krull dimension 1
+    ((3, [[2, 0, 0], [0, 2, 1]]), None),  # untagged
+])
+def test_hilbert_cut_view_tags_only_a_tail_that_holds(tmp_path, capsys, source, tail):
+    # a JSON view cut at --upto k keeps the eventual tag only if the values
+    # shown plus the tag are H; hf_from_json must read every view back
+    from arevlex import ci_hilbert, hf_from_json, ideal_from_json
+
+    from helpers import brute_sous_escalier
+
+    horizon = 14
+    if isinstance(source, str):
+        argv = ["-d", source]
+        H = ci_hilbert(tuple(map(int, source.split(","))))
+        ref = [H(t) for t in range(horizon)]
+    else:
+        nvars, gens = source
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"vars": nvars, "generators": gens}))
+        argv = ["--ideal", str(path)]
+        J = ideal_from_json({"vars": nvars, "generators": gens})
+        ref = [len(brute_sous_escalier(J, t)) for t in range(horizon)]
+    views = [[]] + [["--upto", str(k)] for k in range(horizon - 2)]
+    for view in views if tail else views[1:]:
+        code, out, err = run_cli(capsys, "hilbert", *argv, *view, "--format", "json")
+        assert (code, err) == (0, ""), view
+        data = json.loads(out)
+        K = hf_from_json(data)
+        shown = len(K.values)
+        assert list(K.values) == ref[:shown], view
+        holds = tail is not None and len(set(ref[shown - (tail == "constant"):])) == 1
+        if not view:  # the default view covers the tail and is tagged
+            assert data["eventual"]["kind"] == tail
+        assert (data["eventual"] is not None) == holds, (view, data)
+        if holds:
+            assert [K(t) for t in range(horizon)] == ref, view
+
+
 @pytest.mark.parametrize("nvars, gens, table", [
     (1, [], None),  # the zero ideal
     (3, [[2, 0, 0], [0, 2, 1]], None),  # not stable, not Artinian
@@ -488,6 +534,52 @@ def test_source_has_no_orphaned_private_helper():
                 read.add(node.attr)
     found = [f"{where} {name}" for name, where in defined.items() if name not in read]
     assert not found, found
+
+
+def test_instance_dict_is_written_in_three_places():
+    # the cache protocol: a derived fact of an ideal is a declared cached
+    # property; only the trusted builder seeds caches (and the Terms it makes),
+    # the checked constructor stores its basis and index, and the staircase
+    # recursion stores the stability verdict it finds and a recoded codec
+    import ast
+    from functools import cached_property
+    from pathlib import Path
+
+    import arevlex
+    from arevlex.ideals import MonomialIdeal
+
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
+    writes: dict[str, set] = {}
+    seeds = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            key = node.slice.value if isinstance(node.slice, ast.Constant) else "?"
+            writes.setdefault(where, set()).add(key)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "__dict__"):
+            writes.setdefault(where, set()).update(k.arg or "**" for k in node.keywords)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_trusted":
+            seeds.update(k.arg for k in node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(arevlex.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert writes == {
+        "ideals._trusted": {"exponents", "n", "min_gens", "_raw", "**"},
+        "ideals.MonomialIdeal.__post_init__": {"_raw", "_divisors"},
+        "ideals._slices": {"_stable", "_codec"},
+    }
+    # what a builder seeds is a declared cache of the ideal
+    cached = {name for name, value in vars(MonomialIdeal).items()
+              if isinstance(value, cached_property)}
+    assert seeds and seeds <= cached, seeds - cached
+    assert {"_codec", "_slice_store", "_stable", "_divisors"} <= cached
 
 
 @pytest.mark.parametrize("command", ["tangent", "classify", "verify"])

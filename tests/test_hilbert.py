@@ -9,9 +9,13 @@ import pytest
 
 from arevlex import (
     CIProfile,
+    DimensionError,
     DomainError,
     Eventual,
     HilbertFunction,
+    StabilityError,
+    almost_revlex_ci,
+    almost_revlex_for,
     c_index,
     check_pardue_decrease,
     check_symmetry,
@@ -21,14 +25,25 @@ from arevlex import (
     classify_ci,
     derivative,
     extend_ring,
+    first_expansion,
     hf_from_json,
     hf_of_ideal,
+    ideal_to_text,
+    is_almost_revlex,
+    is_revlex_ideal,
+    mingen_count_formula,
     minimalize,
     pardue_truncation,
+    pommaret_decompose,
+    reduction_number,
+    sous_escalier,
     term,
     truncate_below,
+    variable,
     varrho,
 )
+from arevlex.cli import main
+from arevlex.hilbert import validate_degrees
 
 from helpers import ci_degree_grid, curve_ideal
 
@@ -99,7 +114,7 @@ def test_c_index_goldens():
     assert c_index(curve_hf(), 2, 1) == 2
     assert c_index(ci_hilbert((6,)), 0) == 5
     with pytest.raises(DomainError):
-        c_index(curve_hf(), 0, 1)  # below the dimension: H never drops to 0
+        c_index(curve_hf(), 0, 1)  # s = 0 lies below the Krull dimension 1
 
 
 def test_profile_goldens():
@@ -264,3 +279,55 @@ def test_hilbert_function_validation():
         Eventual("zero", 5)
     with pytest.raises(DomainError):
         Eventual("weird")
+
+
+CI_222 = almost_revlex_ci(3, (2, 2, 2))
+NOT_STABLE = minimalize([term(2, 0), term(0, 2)])
+ZERO = minimalize([], 3)
+
+
+@pytest.mark.parametrize("call, expected, text", [
+    # c_index: each exit of the scan
+    (lambda: c_index(curve_hf(), 0), DomainError, "c_0 is infinite"),
+    (lambda: c_index(HilbertFunction((1, 3, 3, 1), Eventual("zero")), 0), 3, None),
+    (lambda: c_index(HilbertFunction((0,), Eventual("zero")), 0), DomainError,
+     "not positive at 0"),
+    # a difference that never drops is its own truncation, constant tail included
+    (lambda: pardue_truncation(curve_hf(), 0),
+     HilbertFunction((1, 3, 6, 6, 5, 5, 5), Eventual("constant", 5)), None),
+    # negative arguments
+    (lambda: hf_of_ideal(CI_222, -1), DomainError, "nonnegative"),
+    (lambda: derivative(curve_hf(), -1), DomainError, "nonnegative"),
+    (lambda: pardue_truncation(curve_hf(), -1), DomainError, "nonnegative"),
+    (lambda: sous_escalier(CI_222, -1), DomainError, "nonnegative"),
+    (lambda: first_expansion(CI_222, -1), DomainError, "nonnegative"),
+    (lambda: truncate_below(CI_222, -1), DomainError, "nonnegative"),
+    (lambda: mingen_count_formula(ci_hilbert((2, 2, 2)), -1, 3), DomainError, "delta >= 0"),
+    # empty or invalid inputs
+    (lambda: validate_degrees(()), DomainError, "empty degree list"),
+    (lambda: HilbertFunction(()), DomainError, "empty Hilbert function"),
+    (lambda: Eventual("constant", -1), DomainError, "nonnegative"),
+    (lambda: almost_revlex_for(HilbertFunction((1, 0), Eventual("zero"))), DomainError,
+     "H\\(1\\) must be positive"),
+    # ideal-level refusals
+    (lambda: pommaret_decompose(NOT_STABLE, term(2, 2)), StabilityError, "stable ideals"),
+    (lambda: pommaret_decompose(CI_222, term(2, 0)), DimensionError, "variable count"),
+    (lambda: reduction_number(CI_222, 3), DomainError, "no variable x_0"),
+    # the zero ideal
+    (lambda: ZERO.max_gen_degree(), DomainError, "no generators"),
+    (lambda: (ideal_to_text(ZERO), str(ZERO)), ("(0)", "(0)"), None),
+    (lambda: (is_almost_revlex(ZERO), is_revlex_ideal(ZERO)), (True, True), None),
+    (lambda: is_revlex_ideal(NOT_STABLE), False, None),
+    (lambda: variable(3, 4), DimensionError, "out of range 1..3"),
+    # the CLI: code 1, with the message on stderr
+    (lambda: main(["hilbert", "-d", "3,x"]), 1, "cannot parse degree list"),
+])
+def test_public_refusals_and_tail_exits(capsys, call, expected, text):
+    # each case reaches a refusal or a tail exit that no other test runs
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=text):
+            call()
+    else:
+        assert call() == expected
+        if text is not None:
+            assert text in capsys.readouterr().err

@@ -320,10 +320,46 @@ def test_sous_escalier_fast_path_agrees_with_filter():
                 assert [Term(e) for e in decode(slices[t])] == want, (J, t)
 
 
+def test_staircase_caches_answer_first_on_a_fresh_ideal():
+    # _codec and _slice_store are cached properties, so a fresh ideal of any
+    # kind answers them before any other call, and the slices grown from
+    # there are N(J); each ideal is built anew for each way of building it
+    def kinds():
+        for n in (1, 2, 3):
+            x = [term(*((0,) * v + (1,) + (0,) * (n - v - 1))) for v in range(n)]
+            yield "zero", [], n
+            yield "unit", [one(n)], n
+            yield "Artinian stable", [g * h for g in x for h in x], n  # (x1..xn)^2
+            if n > 1:
+                yield "non-Artinian stable", [x[0] * x[0]], n
+        yield "Artinian non-stable", [term(2, 0), term(0, 2)], 2
+        yield "non-Artinian non-stable", [term(0, 2, 0)], 3
+        yield "non-Artinian stable", [term(1, 0, 0), term(0, 3, 0)], 3
+
+    for kind, gens, n in kinds():
+        builds = [lambda: minimalize(gens, n),
+                  lambda: ideal_from_json({"vars": n, "generators": [list(g.exponents)
+                                                                     for g in gens]})]
+        if gens:
+            builds.append(lambda: MonomialIdeal(n, minimalize(gens, n).min_gens))
+        for build in builds:
+            J = build()
+            codec, store = J._codec, J._slice_store
+            assert codec.M >= 1 and store == [[] if kind == "unit" else [codec.top]], J
+            top = (J.max_gen_degree() if gens else 0) + 2 * codec.M + 1
+            slices = _slices(J, top)
+            assert J._slice_store is store, J
+            for t in range(top + 1):
+                got = [Term(e) for e in J._codec.decode(slices[t])]
+                assert got == brute_sous_escalier(J, t), (J, t)
+            assert is_stable(J) == brute_is_stable(J) == ("non-stable" not in kind), J
+            assert J.is_artinian == kind.startswith("Artinian"), J
+
+
 def test_non_artinian_slices_recode_past_the_exponent_bound():
-    # a non-Artinian J codes its slices under a bound taken from the degree
-    # asked for; asking past it recodes the store under a larger one, on
-    # (x1, x2^k), which is stable, and on (x2^k), which is not
+    # a non-Artinian J codes its slices under a bound taken from its top
+    # generator degree; asking past it recodes the store under a larger one,
+    # on (x1, x2^k), which is stable, and on (x2^k), which is not
     for n in (3, 4, 5):
         for k in (2, 3):
             x2k = term(*((0, k) + (0,) * (n - 2)))
