@@ -9,12 +9,14 @@ enforces nonnegativity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, _slices, _socle_slices, is_strongly_stable
-from .terms import json_int
+from .terms import json_int, raw_min_var
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,10 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     Artinian ideals get an eventual-zero tag (table through the first empty
     slice), nonzero strongly stable ideals of Krull dimension one an
     eventual-constant tag (through the regularity); ``up_to`` sizes only
-    the bare table of any other ideal.
+    the bare table of any other ideal.  Past the top generator degree of a
+    stable one, the table counts J_t from B_J (P(J) = B_J, so g spans the
+    degree-t terms g*delta with delta in x_{m(g)}..x_n, m(g) = min(g)):
+    H(t) = C(t+n-1, n-1) - sum_g C(t - deg g + n - m(g), n - m(g)).
     """
     if up_to < 0:
         raise DomainError("up_to must be nonnegative")
@@ -280,7 +285,16 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     if not J.is_zero and len(J._pure_powers) == J.n - 1 and is_strongly_stable(J):
         counts = [len(s) for s in _slices(J, J.max_gen_degree())]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
-    return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
+    top = sum(J._raw[-1]) if J._raw else 0
+    if up_to <= top or not J._stable:
+        return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
+    n = J.n
+    # 1 spans every term, as if m(1) = 1
+    heads = Counter((sum(g), n - (raw_min_var(g) if any(g) else 1)) for g in J._raw)
+    counts = [len(s) for s in _slices(J, top)]
+    counts += [comb(t + n - 1, n - 1) - sum(k * comb(t - d + f, f) for (d, f), k in heads.items())
+               for t in range(top + 1, up_to + 1)]
+    return HilbertFunction(tuple(counts), None)
 
 
 # ---------------------------------------------------------------------------

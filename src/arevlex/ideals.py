@@ -14,14 +14,16 @@ Membership has two routes, each the only one for its inputs:
   of the n masks holds the divisors of e.  It also checks minimality: b_k
   is minimal iff bit k alone is set for b_k, in any order, and one batched
   pass (``_Divisors.alone``, a lazy ``map`` chain per variable) reads that
-  off for every term of :func:`minimalize`, the checked constructor and the
-  file loader, which checks its generator list in bulk and sorts it only
-  when it is out of order.  :func:`minimalize` hands its sorted basis and
-  index to the ideal it returns.  The greedy construction proves
-  its basis another way (see :mod:`arevlex.construct`), so its ideal
-  builds the index only when something asks for divisibility.  The index
-  serves :func:`contains`, the staircase of a non-stable ideal and the
-  quasi-stability predicate.
+  off for every term of :func:`minimalize` and the checked constructor.
+  :func:`minimalize` hands its sorted basis and index to the ideal it
+  returns.  The file loader checks its generator list in bulk and sorts it
+  only when it is out of order; a list with a pure power of every variable
+  is proved by the staircase recursion below, and only a list that fails
+  it, or has no such powers, takes the index.  The greedy construction
+  proves its basis by the same recursion (see :mod:`arevlex.construct`),
+  so neither ideal builds the index until something asks for
+  divisibility.  The index serves :func:`contains`, the staircase of a
+  non-stable ideal and the quasi-stability predicate.
 * ``MonomialIdeal._heads`` walks down from each of a run of terms by its
   smallest variable until it meets B_J, one lookup per variable
   (``_prefixes``); for a stable J this finds the head alpha of the unique
@@ -53,13 +55,15 @@ invariant failure).  I + (degree-t generators) stays stable iff no move
 x_j*g/x_min(g) of those generators, code(g) - R^(j-1) + R^(min(g)-1),
 lies in the exact slice N(J)_t.  The first failing move shows J is not
 stable, and later slices decode their terms and ask ``_Divisors``;
-reaching the top generator degree shows J is stable.  The construction
-runs the same expansion and move check, keeping a prescribed number of
-the smallest codes per degree instead of filtering by J, and hands the
-ideal it builds its slices, codec and stable verdict, so N(J) of a
-constructed ideal is expanded once.  The Hilbert function counts the
-coded slices; :func:`sous_escalier`, :func:`first_expansion` and
-``_columns`` decode them.
+reaching the top generator degree shows J is stable.  Two callers run
+this step to prove a basis and hand the ideal its slices, codec and
+stable verdict, so its N(J) is expanded once: the construction, which
+keeps a prescribed number of the smallest codes per degree instead of
+filtering by J, and the file loader (``_minimal_artinian``), which takes
+the candidates an expansion holds as generators and drops the others as
+multiples of lower ones.  The Hilbert function counts the coded slices;
+:func:`sous_escalier`, :func:`first_expansion` and ``_columns`` decode
+them.
 
 The pure powers of B_J are read once into ``_pure_powers``, {j: e} for
 x_j^e in B_J; being Artinian, the Krull dimension, the reduction numbers
@@ -382,6 +386,51 @@ def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
     return _trusted(n, tuple(raw), _divisors=index)
 
 
+def _minimal_artinian(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of a file's exponent tuples, kept by the staircase recursion if stable.
+
+    Applies to a list with a pure power of every variable and no constant
+    term; any other list takes :func:`_minimal`.  Sorts and deduplicates as
+    that does, drops the terms with an exponent above every smallest pure
+    power (multiples of one, and past the codec's bound M), then runs
+    ``_stable_step`` up the degrees: a held candidate is a minimal
+    generator, a missed one a multiple.  At the first empty slice the rest
+    are multiples and the ideal gets its basis, codec, slices and stable
+    verdict.  At the first failing move, or once the staircase outgrows 64
+    terms per candidate (a pure power of 10^9, say), the list takes
+    :func:`_minimal`.
+    """
+    if not _increasing(raw):
+        raw = sorted(set(raw), key=raw_key)
+    if not raw or not any(raw[0]):  # the constant term sorts first
+        return _minimal(n, raw)
+    degs, tops = list(map(sum, raw)), list(map(max, raw))
+    powers: dict[int, int] = {}
+    for g, d in compress(zip(raw, degs), map(eq, tops, degs)):
+        powers.setdefault(raw_max_var(g), d)  # the first is the smallest
+    if len(powers) < n:
+        return _minimal(n, raw)
+    M = max(powers.values())
+    if max(tops) > M:
+        keep = [x <= M for x in tops]
+        raw, degs = list(compress(raw, keep)), list(compress(degs, keep))
+    codec = _Codec(n, M)
+    codes = codec.encode(raw)
+    store, found, lo, budget = [[codec.top]], [], 0, 64 * len(raw)
+    while store[-1]:
+        hi = bisect_right(degs, len(store), lo)
+        sl, held, moved = _stable_step(store[-1], codes[lo:hi], codec)
+        budget -= len(sl)
+        if moved or budget < 0:
+            return _minimal(n, raw)
+        store.append(sl)
+        found += held
+        lo = hi
+    basis = tuple(compress(raw, found))
+    return _trusted(n, basis, _codec=codec, _slice_store=store, _stable=True,
+                    _pure_powers=powers)
+
+
 def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
     """True iff exponent tuples of one length strictly increase in degrevlex.
 
@@ -400,7 +449,8 @@ def _trusted(n: int, raw: tuple[tuple[int, ...], ...], **seeds) -> MonomialIdeal
     Skips the checks of :class:`MonomialIdeal` and of :class:`Term`, which
     would only repeat that proof, and seeds the cached data the builder
     already holds (``_divisors``, or ``_codec``, ``_slice_store`` and
-    ``_stable``).  Only :func:`_minimal` and the greedy construction call it.
+    ``_stable``).  Only :func:`_minimal`, :func:`_minimal_artinian` and the
+    greedy construction call it.
     """
     gens = list(map(object.__new__, repeat(Term, len(raw))))
     for g, e in zip(gens, raw):
@@ -468,19 +518,21 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
     hi = bisect_left(raw, len(store), key=sum)
     for t in range(len(store), upto + 1):
         stable = J.__dict__.get("_stable")  # None while undecided
-        exp = _expand_slice(store[-1], codec)
         if stable is False:
+            exp = _expand_slice(store[-1], codec)
             below = J._divisors.below
             store.append([c for c, e in zip(exp, codec.decode(exp)) if not below(e)])
             continue
         lo = hi  # raw[lo:hi] is B_J in degree t
         while hi < len(raw) and sum(raw[hi]) == t:
             hi += 1
-        gens = codec.encode(raw[lo:hi])
-        sl = _remove_sorted(exp, gens)
+        sl, found, moved = _stable_step(store[-1], codec.encode(raw[lo:hi]), codec)
+        if not all(found):
+            raise AssertionError("a generator of a stable-so-far ideal is missing "
+                                 "from the first expansion")
         store.append(sl)
         if stable is None:
-            if gens and _moves_leave(gens, sl, codec):
+            if moved:
                 J.__dict__["_stable"] = False
             elif hi == len(raw):
                 J.__dict__["_stable"] = True
@@ -500,21 +552,37 @@ def _bound(J: MonomialIdeal) -> int:
     return max(sum(J._raw[-1]) if J._raw else 0, 1)
 
 
-def _remove_sorted(exp: list[int], gens: list[int]) -> list[int]:
-    """The increasing codes ``exp`` without ``gens``, which all lie in it, in order."""
+def _stable_step(prev: list[int], gens: list[int], codec: _Codec):
+    """One degree t of the recursion while the ideal I of the lower generators is stable.
+
+    ``prev`` is N(I)_{t-1} and ``gens`` the increasing codes of the degree-t
+    candidates.  E(prev) is every degree-t term outside I, so a candidate it
+    holds is a minimal generator and one it misses lies in I.  Returns
+    N_t = E(prev) without the held codes, which candidates it held, and
+    whether a move of a held one lies in N_t (then I + (held) is not stable).
+    """
+    sl, found = _remove_sorted(_expand_slice(prev, codec), gens)
+    held = gens if all(found) else list(compress(gens, found))
+    return sl, found, bool(held) and _moves_leave(held, sl, codec)
+
+
+def _remove_sorted(exp: list[int], gens: list[int]) -> tuple[list[int], list[bool]]:
+    """The increasing codes ``exp`` without those of the increasing ``gens``, and
+    for each of ``gens`` whether ``exp`` held it."""
     if not gens:
-        return exp
+        return exp, []
     out: list[int] = []
+    found: list[bool] = []
     lo = 0
     for c in gens:
         i = bisect_left(exp, c, lo)
-        if i == len(exp) or exp[i] != c:
-            raise AssertionError("a generator of a stable-so-far ideal is missing "
-                                 "from the first expansion")
-        out += exp[lo:i]
-        lo = i + 1
+        hit = i < len(exp) and exp[i] == c
+        if hit:
+            out += exp[lo:i]
+            lo = i + 1
+        found.append(hit)
     out += exp[lo:]
-    return out
+    return out, found
 
 
 def _moves_leave(gens: list[int], outside: list[int], codec: _Codec) -> bool:
@@ -748,4 +816,4 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
                 raise DomainError(f"malformed ideal JSON: generators must be a list, got {gens!r}")
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc
-    return minimalize(terms, n) if raw is None else _minimal(n, raw)
+    return minimalize(terms, n) if raw is None else _minimal_artinian(n, raw)

@@ -94,9 +94,50 @@ def test_hilbert_tables_stop_at_their_tail(tmp_path, capsys, monkeypatch):
     assert not store[-1] and all(store[:-1])
 
 
-def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys):
+def test_hilbert_zero_ideal_far_out_counts_without_a_staircase(tmp_path, capsys):
+    # the zero ideal in 3 variables at --upto 300: C(t+2, 2) for t = 0..300,
+    # counted from the (empty) basis; building N(J) through degree 300 held
+    # 4.6M terms and peaked at about 198 MB
+    import tracemalloc
+    from math import comb
+
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"vars": 3, "generators": []}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), "--upto", "300")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cddcba07f7eb2ff469cdd664f64ee2f683a8afae09ef78fc52127b35d784f24b")
+    assert out == ",".join(str(comb(t + 2, 2)) for t in range(301)) + "\n"
+    assert peak < 2**20, peak
+
+
+def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys, monkeypatch):
     # construct, then hilbert --ideal on its output, prints the stored table
-    # for every list of the grid
+    # for every list of the grid; the loader proves each stored basis by the
+    # staircase recursion, so no divisor index is built and no batched
+    # minimality pass runs
+    from arevlex.ideals import _Divisors
+
+    builds = passes = 0
+    init, alone = _Divisors.__init__, _Divisors.alone
+
+    def counting_init(self, terms):
+        nonlocal builds
+        builds += 1
+        init(self, terms)
+
+    def counting_alone(self, terms):
+        nonlocal passes
+        passes += 1
+        return alone(self, terms)
+
+    monkeypatch.setattr(_Divisors, "__init__", counting_init)
+    monkeypatch.setattr(_Divisors, "alone", counting_alone)
     with gzip.open(GRID_STORE, "rt") as f:
         header, *entries = map(json.loads, f)
     assert len(entries) == header["fixed"] + header["rest"] == 676
@@ -105,6 +146,7 @@ def test_hilbert_ideal_reads_every_stored_grid_basis(tmp_path, capsys):
         path.write_text(entry["construct"])
         code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path))
         assert (code, out, err) == (0, entry["hilbert"], ""), entry["degrees"]
+    assert builds == passes == 0
 
 
 @pytest.mark.parametrize("source, tail", [

@@ -13,7 +13,9 @@ from arevlex import (
     DomainError,
     Eventual,
     HilbertFunction,
+    MonomialIdeal,
     StabilityError,
+    Term,
     almost_revlex_ci,
     almost_revlex_for,
     c_index,
@@ -31,6 +33,7 @@ from arevlex import (
     ideal_to_text,
     is_almost_revlex,
     is_revlex_ideal,
+    is_stable,
     mingen_count_formula,
     minimalize,
     pardue_truncation,
@@ -44,8 +47,9 @@ from arevlex import (
 )
 from arevlex.cli import main
 from arevlex.hilbert import validate_degrees
+from arevlex.ideals import _slices
 
-from helpers import ci_degree_grid, curve_ideal
+from helpers import borel_closure, ci_degree_grid, curve_ideal, random_monomial_ideal
 
 
 def curve_hf() -> HilbertFunction:
@@ -268,6 +272,33 @@ def test_untagged_tables_reject_index_extraction():
         derivative(H, 1)
     with pytest.raises(DomainError):
         c_index(H, 2, 2)
+
+
+def test_hf_past_the_top_degree_counts_the_basis():
+    # past the top generator degree of a stable ideal with no tail tag, the
+    # table counts J_t from B_J instead of building N(J); it must equal the
+    # slice sizes of a fresh copy, zero and unit ideals included, and an
+    # ideal that is not stable, or a smaller up_to, keeps its slice count
+    rng = random.Random(2222)
+    ideals = [minimalize([], n) for n in (1, 2, 3, 4)]
+    ideals += [minimalize([term(*(0,) * n)]) for n in (2, 3, 4)]
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        seeds = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        borel = {m for e in seeds if any(e) for m in borel_closure(e)}
+        ideals.append(minimalize([Term(e) for e in borel], n) if borel else minimalize([], n))
+        ideals.append(random_monomial_ideal(rng, n))
+    kinds = set()
+    for J in ideals:
+        up_to = 14
+        H = hf_of_ideal(J, up_to)
+        fresh = MonomialIdeal(J.n, J.min_gens)
+        assert [H(t) for t in range(up_to + 1)] == [len(s) for s in _slices(fresh, up_to)], J
+        if H.eventual is None:
+            top = J.max_gen_degree() if J.min_gens else 0
+            kinds.add((is_stable(fresh), len(J._slice_store) == top + 1 < up_to + 1))
+    # stable ideals stop at the top degree; the others build every slice
+    assert kinds == {(True, True), (False, False)}
 
 
 def test_hilbert_function_validation():

@@ -266,6 +266,77 @@ def test_loader_matches_brute_force():
     assert orders == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_loader_proves_stable_artinian_lists_by_the_recursion(monkeypatch):
+    # a list with a pure power of every variable runs the staircase
+    # recursion: a candidate in the first expansion is a minimal generator,
+    # one outside it a multiple, and the move check decides stability.  Any
+    # route gives minimalize's ideal and the brute-force basis; a stable list
+    # builds no divisor index and carries the codec, slices, verdict and pure
+    # powers that a checked ideal on its basis computes; a non-stable or
+    # non-Artinian list, one holding 1 and one whose staircase outgrows the
+    # recursion's budget take the index route
+    builds = 0
+    init = _Divisors.__init__
+
+    def counting_init(self, terms):
+        nonlocal builds
+        builds += 1
+        init(self, terms)
+
+    monkeypatch.setattr(_Divisors, "__init__", counting_init)
+    rng = random.Random(2424)
+    stable = [almost_revlex_ci(len(d), d) for d in
+              [(2,), (5,), (2, 2), (2, 5), (3, 4), (2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 3)]]
+    stable += [random_strongly_stable(rng, n, rng.randint(1, 5)) for n in (1, 2, 3, 4)
+               for _ in range(15)]
+    stable += artinian_stable_ideals(3, 6)
+    others = [random_artinian_ideal(rng, n) for n in (1, 2, 3) for _ in range(40)]
+    others += [random_monomial_ideal(rng, n) for n in (2, 3, 4) for _ in range(20)]
+    others += [minimalize([one(n)]) for n in (1, 2, 3)]
+    big = MonomialIdeal(2, (term(1, 0), term(0, 10**9)))  # stable, colength 10^9
+    others.append(big)
+
+    def candidates(J, with_one=False):
+        pool = [g.exponents for g in J.min_gens]
+        for _ in range(rng.randint(0, 4)):  # multiples, some past the pure powers
+            pool.append(tuple(x + rng.randint(0, 2) for x in rng.choice(pool)))
+        pool += rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        pool += [(0,) * J.n] * with_one
+        if rng.random() < 0.75:
+            rng.shuffle(pool)
+        else:
+            pool.sort(key=raw_key)
+        return pool
+
+    seen = set()
+    for J0 in stable + others:
+        n = J0.n
+        pool = candidates(J0, with_one=J0 in others and rng.random() < 0.1)
+        terms = [Term(e) for e in pool]
+        before = builds
+        J = ideal_from_json({"vars": n, "generators": [list(e) for e in pool]})
+        recursion = builds == before
+        K = minimalize(terms, n)
+        assert J.min_gens == K.min_gens == brute_minimal_basis(terms), (J0, pool)
+        assert J == K and hash(J) == hash(K)
+        F = MonomialIdeal(n, J.min_gens)
+        # (big's stability check alone would expand 10^9 degrees)
+        kind = "budget" if J0 is big else "stable" if is_stable(F) else "non-stable"
+        assert recursion == (J.is_artinian and kind == "stable"), J
+        if not recursion:
+            assert "_divisors" in J.__dict__ and "_stable" not in J.__dict__, J
+            seen.update([kind, "Artinian" if J.is_artinian else "non-Artinian"])
+            continue
+        seen.add("recursion")
+        assert J.__dict__["_stable"] is True and "_divisors" not in J.__dict__, J
+        _slices(F, F.max_gen_degree())
+        assert F.__dict__["_stable"] is True
+        assert (J._codec.M, J._codec.top) == (F._codec.M, F._codec.top), J
+        assert J._slice_store == F._slice_store, J
+        assert J.__dict__["_pure_powers"] == F._pure_powers, J
+    assert seen == {"recursion", "budget", "stable", "non-stable", "Artinian", "non-Artinian"}
+
+
 def test_ideal_needs_a_variable():
     for n in (0, -1):
         with pytest.raises(DimensionError, match=f"need at least one variable, got n={n}"):
@@ -337,15 +408,20 @@ def test_staircase_caches_answer_first_on_a_fresh_ideal():
         yield "non-Artinian stable", [term(1, 0, 0), term(0, 3, 0)], 3
 
     for kind, gens, n in kinds():
-        builds = [lambda: minimalize(gens, n),
-                  lambda: ideal_from_json({"vars": n, "generators": [list(g.exponents)
-                                                                     for g in gens]})]
+        builds = [("minimalize", lambda: minimalize(gens, n)),
+                  ("loader", lambda: ideal_from_json({"vars": n, "generators": [
+                      list(g.exponents) for g in gens]}))]
         if gens:
-            builds.append(lambda: MonomialIdeal(n, minimalize(gens, n).min_gens))
-        for build in builds:
+            builds.append(("checked", lambda: MonomialIdeal(n, minimalize(gens, n).min_gens)))
+        for way, build in builds:
             J = build()
             codec, store = J._codec, J._slice_store
-            assert codec.M >= 1 and store == [[] if kind == "unit" else [codec.top]], J
+            # the loader proves an Artinian stable list by the recursion and
+            # hands the ideal N(J) through its top degree; any other ideal
+            # starts from N(J)_0
+            seeded = way == "loader" and kind == "Artinian stable"
+            assert codec.M >= 1 and store[0] == ([] if kind == "unit" else [codec.top]), J
+            assert len(store) == (J.max_gen_degree() + 1 if seeded else 1), (J, way)
             top = (J.max_gen_degree() if gens else 0) + 2 * codec.M + 1
             slices = _slices(J, top)
             assert J._slice_store is store, J
