@@ -14,16 +14,16 @@ Membership has two routes, each the only one for its inputs:
   of the n masks holds the divisors of e.  It also checks minimality: b_k
   is minimal iff bit k alone is set for b_k, in any order, and one batched
   pass (``_Divisors.alone``, a lazy ``map`` chain per variable) reads that
-  off for every term of :func:`minimalize` and the checked constructor.
-  :func:`minimalize` hands its sorted basis and index to the ideal it
-  returns.  The file loader checks its generator list in bulk and sorts it
-  only when it is out of order; a list with a pure power of every variable
-  is proved by the staircase recursion below, and only a list that fails
-  it, or has no such powers, takes the index.  The greedy construction
-  proves its basis by the same recursion (see :mod:`arevlex.construct`),
-  so neither ideal builds the index until something asks for
-  divisibility.  The index serves :func:`contains`, the staircase of a
-  non-stable ideal and the quasi-stability predicate.
+  off for every term of ``_minimal`` and the checked constructor.
+  :func:`minimalize` and the file loader, which checks its generator list
+  in bulk, both end in ``_minimal``: a list with a pure power of every
+  variable is proved by the staircase recursion below, and only a list
+  that fails it, or has no such powers, takes the index, whose ideal keeps
+  it.  The greedy construction proves its basis by the same recursion
+  (see :mod:`arevlex.construct`), so neither recursion's ideal builds the
+  index until something asks for divisibility.  The index serves
+  :func:`contains`, the staircase of a non-stable ideal and the
+  quasi-stability predicate.
 * ``MonomialIdeal._heads`` walks down from each of a run of terms by its
   smallest variable until it meets B_J, one lookup per variable
   (``_prefixes``); for a stable J this finds the head alpha of the unique
@@ -59,11 +59,11 @@ reaching the top generator degree shows J is stable.  Two callers run
 this step to prove a basis and hand the ideal its slices, codec and
 stable verdict, so its N(J) is expanded once: the construction, which
 keeps a prescribed number of the smallest codes per degree instead of
-filtering by J, and the file loader (``_minimal_artinian``), which takes
-the candidates an expansion holds as generators and drops the others as
-multiples of lower ones.  The Hilbert function counts the coded slices;
-:func:`sous_escalier`, :func:`first_expansion` and ``_columns`` decode
-them.
+filtering by J, and ``_minimal``, which takes the candidates an
+expansion holds as generators and drops the others as multiples of
+lower ones.  The recursion stops at the first empty slice.  The
+Hilbert function counts the coded slices; :func:`sous_escalier`,
+:func:`first_expansion` and ``_columns`` decode them.
 
 The pure powers of B_J are read once into ``_pure_powers``, {j: e} for
 x_j^e in B_J; being Artinian, the Krull dimension, the reduction numbers
@@ -73,7 +73,8 @@ Positional data is built once per ideal, on first use, and cached.
 ``_columns``, for an Artinian J only, lists the exponents of each variable
 over N(J) in degree-major increasing degrevlex order, one ``_Codec.columns``
 decode of the slices through the first empty one (which may lie past the
-top generator degree when J is not stable); its length is
+top generator degree when J is not stable, never past the degree sum of
+the pure powers); its length is
 :func:`colength`, and the tangent kernel reads nothing else of N(J).
 ``_staircase`` maps each term of N(J) to its place, zipped from the columns
 only when the equation rows, the audit oracle or the marked reduction ask
@@ -87,7 +88,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, tee
-from operator import and_, attrgetter, eq, lshift, lt, mul, neg
+from operator import and_, attrgetter, eq, le, lshift, lt, mul, neg
 
 from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
@@ -266,7 +267,8 @@ class MonomialIdeal:
         """The exponents of each variable over N(J), in staircase order, for Artinian J."""
         if not self.is_artinian:
             raise DomainError("the staircase index requires an Artinian ideal")
-        slices = _socle_slices(self)
+        # no term of N(J) reaches the degree sum of the pure powers
+        slices = _slices(self, sum(self._pure_powers.values()))
         return self._codec.columns(list(chain.from_iterable(slices)))
 
     @cached_property
@@ -372,11 +374,43 @@ def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of exponent tuples over n variables, checked to be of length n.
 
     Sorts and deduplicates only a list that does not already strictly
-    increase, then keeps the terms that no other divides, in one batched
+    increase.  A list with a pure power of every variable and no constant
+    term then drops the terms with an exponent above every smallest pure
+    power (multiples of one, and past the codec's bound M) and runs
+    ``_stable_step`` up the degrees: a held candidate is a minimal
+    generator, a missed one a multiple.  At the first empty slice the rest
+    are multiples and the ideal gets its basis, codec, slices, stable
+    verdict and pure powers.  Any other list, and one that meets a failing
+    move or whose staircase outgrows 64 terms per candidate (a pure power
+    of 10^9, say), keeps the terms that no other divides, in one batched
     pass of the divisor index.
     """
     if not _increasing(raw):
         raw = sorted(set(raw), key=raw_key)
+    powers: dict[int, int] = {}
+    if raw and any(raw[0]):  # the constant term sorts first
+        # a pure power has n - 1 zero exponents
+        for g in compress(raw, map(eq, map(tuple.count, raw, repeat(0)), repeat(n - 1))):
+            powers.setdefault(raw_max_var(g), sum(g))  # the first is the smallest
+    if len(powers) == n:
+        M = max(powers.values())
+        raw = list(compress(raw, map(le, map(max, raw), repeat(M))))
+        degs = list(map(sum, raw))
+        codec = _Codec(n, M)
+        codes = codec.encode(raw)
+        store, found, lo, budget = [[codec.top]], [], 0, 64 * len(raw)
+        while store[-1]:
+            hi = bisect_right(degs, len(store), lo)
+            sl, held, moved = _stable_step(store[-1], codes[lo:hi], codec)
+            budget -= len(sl)
+            if moved or budget < 0:
+                break
+            store.append(sl)
+            found += held
+            lo = hi
+        else:
+            return _trusted(n, tuple(compress(raw, found)), _codec=codec, _slice_store=store,
+                            _stable=True, _pure_powers=powers)
     index = _Divisors(raw)
     # the candidates are distinct, so b_k is minimal iff it alone divides b_k
     alone = index.alone(raw)
@@ -384,51 +418,6 @@ def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
         raw = list(compress(raw, alone))
         index = _Divisors(raw)
     return _trusted(n, tuple(raw), _divisors=index)
-
-
-def _minimal_artinian(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
-    """The ideal of a file's exponent tuples, kept by the staircase recursion if stable.
-
-    Applies to a list with a pure power of every variable and no constant
-    term; any other list takes :func:`_minimal`.  Sorts and deduplicates as
-    that does, drops the terms with an exponent above every smallest pure
-    power (multiples of one, and past the codec's bound M), then runs
-    ``_stable_step`` up the degrees: a held candidate is a minimal
-    generator, a missed one a multiple.  At the first empty slice the rest
-    are multiples and the ideal gets its basis, codec, slices and stable
-    verdict.  At the first failing move, or once the staircase outgrows 64
-    terms per candidate (a pure power of 10^9, say), the list takes
-    :func:`_minimal`.
-    """
-    if not _increasing(raw):
-        raw = sorted(set(raw), key=raw_key)
-    if not raw or not any(raw[0]):  # the constant term sorts first
-        return _minimal(n, raw)
-    degs, tops = list(map(sum, raw)), list(map(max, raw))
-    powers: dict[int, int] = {}
-    for g, d in compress(zip(raw, degs), map(eq, tops, degs)):
-        powers.setdefault(raw_max_var(g), d)  # the first is the smallest
-    if len(powers) < n:
-        return _minimal(n, raw)
-    M = max(powers.values())
-    if max(tops) > M:
-        keep = [x <= M for x in tops]
-        raw, degs = list(compress(raw, keep)), list(compress(degs, keep))
-    codec = _Codec(n, M)
-    codes = codec.encode(raw)
-    store, found, lo, budget = [[codec.top]], [], 0, 64 * len(raw)
-    while store[-1]:
-        hi = bisect_right(degs, len(store), lo)
-        sl, held, moved = _stable_step(store[-1], codes[lo:hi], codec)
-        budget -= len(sl)
-        if moved or budget < 0:
-            return _minimal(n, raw)
-        store.append(sl)
-        found += held
-        lo = hi
-    basis = tuple(compress(raw, found))
-    return _trusted(n, basis, _codec=codec, _slice_store=store, _stable=True,
-                    _pure_powers=powers)
 
 
 def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
@@ -448,9 +437,9 @@ def _trusted(n: int, raw: tuple[tuple[int, ...], ...], **seeds) -> MonomialIdeal
 
     Skips the checks of :class:`MonomialIdeal` and of :class:`Term`, which
     would only repeat that proof, and seeds the cached data the builder
-    already holds (``_divisors``, or ``_codec``, ``_slice_store`` and
-    ``_stable``).  Only :func:`_minimal`, :func:`_minimal_artinian` and the
-    greedy construction call it.
+    already holds (``_divisors``, or ``_codec``, ``_slice_store``,
+    ``_stable`` and ``_pure_powers``).  Its two callers are :func:`_minimal`
+    and the greedy construction.
     """
     gens = list(map(object.__new__, repeat(Term, len(raw))))
     for g, e in zip(gens, raw):
@@ -475,8 +464,8 @@ def sous_escalier(J: MonomialIdeal, t: int) -> list[Term]:
     """N(J)_t: the degree-t terms outside J, increasing degrevlex."""
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    sl = _slices(J, t)[t]
-    return [Term(e) for e in J._codec.decode(sl)]
+    # past the first empty slice the slices stop, and this reads []
+    return [Term(e) for sl in _slices(J, t)[t:] for e in J._codec.decode(sl)]
 
 
 def _expand_slice(slice_t: list[int], codec: _Codec) -> list[int]:
@@ -502,10 +491,12 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
 
     Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
     (see the module docstring): the verdict lands in ``J._stable`` at the
-    first failing move or at the top generator degree.  The codes are those
-    of ``J._codec``; the computed prefix (``J._slice_store``) is only
-    extended; a non-Artinian J asked past the codec's bound recodes it under
-    a larger one.  Agreement with the definitions is pinned by tests.
+    first failing move or at the top generator degree.  The list ends early
+    at the first empty slice, as N(J) is an order ideal and every later
+    slice is empty too.  The codes are those of ``J._codec``; the computed
+    prefix (``J._slice_store``) is only extended; a non-Artinian J asked
+    past the codec's bound recodes it under a larger one.  Agreement with
+    the definitions is pinned by tests.
     """
     store = J._slice_store
     if upto > J._codec.M and not J.is_artinian:
@@ -516,16 +507,14 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
     codec = J._codec
     raw = J._raw
     hi = bisect_left(raw, len(store), key=sum)
-    for t in range(len(store), upto + 1):
+    while len(store) <= upto and store[-1]:
         stable = J.__dict__.get("_stable")  # None while undecided
         if stable is False:
             exp = _expand_slice(store[-1], codec)
             below = J._divisors.below
             store.append([c for c, e in zip(exp, codec.decode(exp)) if not below(e)])
             continue
-        lo = hi  # raw[lo:hi] is B_J in degree t
-        while hi < len(raw) and sum(raw[hi]) == t:
-            hi += 1
+        lo, hi = hi, bisect_right(raw, len(store), hi, key=sum)  # B_J in this degree
         sl, found, moved = _stable_step(store[-1], codec.encode(raw[lo:hi]), codec)
         if not all(found):
             raise AssertionError("a generator of a stable-so-far ideal is missing "
@@ -612,27 +601,15 @@ def _moves_leave(gens: list[int], outside: list[int], codec: _Codec) -> bool:
     return False
 
 
-def _socle_slices(J: MonomialIdeal) -> list[list[int]]:
-    """Slices of an Artinian J through the first empty one.
-
-    N(J)_{reg-1} holds the cofactor of a top-degree generator, so the first
-    empty slice lies at or past the top generator degree reg; for a stable J
-    it is the slice at reg.
-    """
-    slices = _slices(J, J.max_gen_degree())
-    while slices[-1]:
-        slices.append(_slices(J, len(slices))[-1])
-    return slices
-
-
 def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
     """E(N(J)_t) for stable J: the degree-(t+1) terms not reached from J_t."""
     if not J._stable:
         raise StabilityError("first_expansion requires a stable ideal")
     if t < 0:
         raise DomainError("degree must be nonnegative")
-    sl = _slices(J, t + 1)[t]  # the codec then reaches degree t+1
-    return [Term(e) for e in J._codec.decode(_expand_slice(sl, J._codec))]
+    # the codec then reaches degree t+1; past the first empty slice this reads []
+    return [Term(e) for sl in _slices(J, t + 1)[t:t + 1]
+            for e in J._codec.decode(_expand_slice(sl, J._codec))]
 
 
 # ---------------------------------------------------------------------------
@@ -816,4 +793,4 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
                 raise DomainError(f"malformed ideal JSON: generators must be a list, got {gens!r}")
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed ideal JSON: {exc}") from exc
-    return minimalize(terms, n) if raw is None else _minimal_artinian(n, raw)
+    return minimalize(terms, n) if raw is None else _minimal(n, raw)

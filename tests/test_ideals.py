@@ -42,7 +42,7 @@ from arevlex import (
     truncate_below,
 )
 from arevlex import terms as terms_module
-from arevlex.ideals import _Divisors, _slices, _socle_slices
+from arevlex.ideals import _Divisors, _slices
 from arevlex.terms import raw_divides, raw_key
 
 from helpers import (
@@ -131,10 +131,11 @@ def test_basis_checks_match_brute_force():
 
 def test_basis_checks_make_no_pairwise_scan(monkeypatch):
     # the greedy proves its basis minimal by its move check and never asks
-    # the divisor index; minimalize and the checked constructor answer
+    # the divisor index, nor does minimalize, whose staircase recursion
+    # proves this stable Artinian list; the checked constructor answers
     # divisibility for every candidate in one batched pass of the index,
-    # with no per-term query, and the ideal minimalize returns reuses its
-    # checks.  A pairwise scan makes 375k divisibility tests on this basis
+    # with no per-term query.  A pairwise scan makes 375k divisibility tests
+    # on this basis
     scans = queries = passes = 0
 
     def counting_divides(a, b):
@@ -161,12 +162,13 @@ def test_basis_checks_make_no_pairwise_scan(monkeypatch):
     assert len(J.min_gens) == 627
     assert scans < len(J.min_gens)
     assert queries == passes == 0
-    for build in (lambda: minimalize(list(J.min_gens)), lambda: MonomialIdeal(5, J.min_gens)):
+    for build, want in ((lambda: minimalize(list(J.min_gens)), 0),
+                        (lambda: MonomialIdeal(5, J.min_gens), 1)):
         scans = queries = passes = 0
         assert build() == J
         assert scans < len(J.min_gens)
         assert queries == 0
-        assert passes == 1
+        assert passes == want
 
 
 def test_minimalize_indexes_the_kept_basis():
@@ -269,12 +271,13 @@ def test_loader_matches_brute_force():
 def test_loader_proves_stable_artinian_lists_by_the_recursion(monkeypatch):
     # a list with a pure power of every variable runs the staircase
     # recursion: a candidate in the first expansion is a minimal generator,
-    # one outside it a multiple, and the move check decides stability.  Any
-    # route gives minimalize's ideal and the brute-force basis; a stable list
+    # one outside it a multiple, and the move check decides stability.  The
+    # loader and minimalize take the same route for each list and seed the
+    # same caches, and either gives the brute-force basis; a stable list
     # builds no divisor index and carries the codec, slices, verdict and pure
     # powers that a checked ideal on its basis computes; a non-stable or
     # non-Artinian list, one holding 1 and one whose staircase outgrows the
-    # recursion's budget take the index route
+    # recursion's budget take the index route and carry it
     builds = 0
     init = _Divisors.__init__
 
@@ -313,27 +316,28 @@ def test_loader_proves_stable_artinian_lists_by_the_recursion(monkeypatch):
         n = J0.n
         pool = candidates(J0, with_one=J0 in others and rng.random() < 0.1)
         terms = [Term(e) for e in pool]
-        before = builds
-        J = ideal_from_json({"vars": n, "generators": [list(e) for e in pool]})
-        recursion = builds == before
-        K = minimalize(terms, n)
-        assert J.min_gens == K.min_gens == brute_minimal_basis(terms), (J0, pool)
-        assert J == K and hash(J) == hash(K)
-        F = MonomialIdeal(n, J.min_gens)
+        F = MonomialIdeal(n, brute_minimal_basis(terms))
         # (big's stability check alone would expand 10^9 degrees)
         kind = "budget" if J0 is big else "stable" if is_stable(F) else "non-stable"
-        assert recursion == (J.is_artinian and kind == "stable"), J
-        if not recursion:
-            assert "_divisors" in J.__dict__ and "_stable" not in J.__dict__, J
-            seen.update([kind, "Artinian" if J.is_artinian else "non-Artinian"])
-            continue
-        seen.add("recursion")
-        assert J.__dict__["_stable"] is True and "_divisors" not in J.__dict__, J
-        _slices(F, F.max_gen_degree())
-        assert F.__dict__["_stable"] is True
-        assert (J._codec.M, J._codec.top) == (F._codec.M, F._codec.top), J
-        assert J._slice_store == F._slice_store, J
-        assert J.__dict__["_pure_powers"] == F._pure_powers, J
+        recursion = F.is_artinian and kind == "stable"
+        seeds = {"_codec", "_slice_store", "_stable", "_pure_powers"} if recursion else {"_divisors"}
+        if recursion:
+            _slices(F, F.max_gen_degree())
+            assert F.__dict__["_stable"] is True
+        seen.add("recursion" if recursion else kind)
+        seen.add("Artinian" if F.is_artinian else "non-Artinian")
+        for build in (lambda: ideal_from_json({"vars": n, "generators": [list(e) for e in pool]}),
+                      lambda: minimalize(terms, n)):
+            before = builds
+            J = build()
+            assert (builds == before) == recursion, (J0, pool)
+            assert set(J.__dict__) == {"n", "min_gens", "_raw"} | seeds, (J0, pool)
+            assert J.min_gens == F.min_gens and J == F and hash(J) == hash(F), (J0, pool)
+            if recursion:
+                assert J.__dict__["_stable"] is True
+                assert (J._codec.M, J._codec.top) == (F._codec.M, F._codec.top), J
+                assert J._slice_store == F._slice_store, J
+                assert J._pure_powers == F._pure_powers, J
     assert seen == {"recursion", "budget", "stable", "non-stable", "Artinian", "non-Artinian"}
 
 
@@ -383,12 +387,27 @@ def test_sous_escalier_fast_path_agrees_with_filter():
         else:
             top = (0 if J.is_zero else J.max_gen_degree()) + 3
         slices = _slices(J, top) if is_stable(J) else None
+        if slices is not None:  # the slices stop at the first empty one
+            slices += [[]] * (top + 1 - len(slices))
         decode = J._codec.decode
         for t in range(top + 1):
             want = brute_sous_escalier(J, t)
             assert sous_escalier(J, t) == want, (J, t)
             if slices is not None:
                 assert [Term(e) for e in decode(slices[t])] == want, (J, t)
+
+
+def test_far_degrees_of_an_artinian_ideal_stop_at_the_first_empty_slice():
+    # N(J) is an order ideal, so every slice past an empty one is empty: a
+    # degree far past the socle reads empty and builds no slice there, on
+    # the constructed ideal and on a checked copy that builds its own
+    J = almost_revlex_ci(3, (2, 2, 2))
+    for K in (J, MonomialIdeal(J.n, J.min_gens)):
+        start = time.perf_counter()
+        assert sous_escalier(K, 10**7) == [] and first_expansion(K, 10**7) == []
+        assert time.perf_counter() - start < 0.1
+        assert len(K._slice_store) == 5
+        assert [len(sous_escalier(K, t)) for t in range(6)] == [1, 3, 3, 1, 0, 0]
 
 
 def test_staircase_caches_answer_first_on_a_fresh_ideal():
@@ -416,17 +435,17 @@ def test_staircase_caches_answer_first_on_a_fresh_ideal():
         for way, build in builds:
             J = build()
             codec, store = J._codec, J._slice_store
-            # the loader proves an Artinian stable list by the recursion and
-            # hands the ideal N(J) through its top degree; any other ideal
-            # starts from N(J)_0
-            seeded = way == "loader" and kind == "Artinian stable"
+            # minimalize and the loader prove an Artinian stable list by the
+            # recursion and hand the ideal N(J) through its top degree; any
+            # other ideal starts from N(J)_0
+            seeded = way != "checked" and kind == "Artinian stable"
             assert codec.M >= 1 and store[0] == ([] if kind == "unit" else [codec.top]), J
             assert len(store) == (J.max_gen_degree() + 1 if seeded else 1), (J, way)
             top = (J.max_gen_degree() if gens else 0) + 2 * codec.M + 1
             slices = _slices(J, top)
             assert J._slice_store is store, J
-            for t in range(top + 1):
-                got = [Term(e) for e in J._codec.decode(slices[t])]
+            for t in range(top + 1):  # past the first empty slice, all are empty
+                got = [Term(e) for e in J._codec.decode(slices[t] if t < len(slices) else [])]
                 assert got == brute_sous_escalier(J, t), (J, t)
             assert is_stable(J) == brute_is_stable(J) == ("non-stable" not in kind), J
             assert J.is_artinian == kind.startswith("Artinian"), J
@@ -554,6 +573,7 @@ def test_stability_read_off_the_slices_in_either_order():
         unstable += 1
         brute = [[m.exponents for m in brute_sous_escalier(J, t)] for t in range(top + 3)]
         slices = _slices(sliced_first, top + 2)  # may recode the slices
+        slices += [[]] * (top + 3 - len(slices))  # they stop at the first empty one
         decode = sliced_first._codec.decode
         assert [decode(sl) for sl in slices] == brute, J
     assert unstable > 1000
@@ -787,7 +807,8 @@ def test_staircase_is_the_one_column_decode_zipped():
         D = colength(J)
         assert "_staircase" not in J.__dict__
         assert [len(col) for col in J._columns] == [D] * J.n
-        codes = list(chain.from_iterable(_socle_slices(J)))
+        # no term of N(J) reaches the degree sum of the pure powers
+        codes = list(chain.from_iterable(_slices(J, sum(J._pure_powers.values()))))
         assert J._staircase == dict(zip(J._codec.decode(codes), count())), J
         assert len(J._staircase) == D
 
