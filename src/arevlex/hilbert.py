@@ -277,20 +277,21 @@ def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     """
     if up_to < 0:
         raise DomainError("up_to must be nonnegative")
-    if J.is_artinian:  # no term of N(J) reaches the degree sum of the pure powers
-        counts = [len(s) for s in _slices(J, sum(J._pure_powers.values()))]
+    if J.is_artinian:
+        counts = [len(s) for s in _slices(J)]
         return HilbertFunction(tuple(counts), Eventual("zero"))
     # Krull dimension one needs n-1 pure powers; count them before the
     # stability check, which builds the slices through the top degree
     if not J.is_zero and len(J._pure_powers) == J.n - 1 and is_strongly_stable(J):
         counts = [len(s) for s in _slices(J, J.max_gen_degree())]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
-    if not J._stable:
-        return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
     n, top = J.n, sum(J._raw[-1]) if J._raw else 0
+    # the stability verdict builds the slices through top, so ask it only past top
+    if up_to <= top or not J._stable:
+        return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
     # 1 spans every term, as if m(1) = 1
     heads = Counter((sum(g), n - (raw_min_var(g) if any(g) else 1)) for g in J._raw)
-    counts = [len(s) for s in _slices(J, min(up_to, top))]
+    counts = [len(s) for s in _slices(J, top)]
     counts += [comb(t + n - 1, n - 1) - sum(k * comb(t - d + f, f) for (d, f), k in heads.items())
                for t in range(top + 1, up_to + 1)]
     return HilbertFunction(tuple(counts), None)

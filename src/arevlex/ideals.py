@@ -267,9 +267,7 @@ class MonomialIdeal:
         """The exponents of each variable over N(J), in staircase order, for Artinian J."""
         if not self.is_artinian:
             raise DomainError("the staircase index requires an Artinian ideal")
-        # no term of N(J) reaches the degree sum of the pure powers
-        slices = _slices(self, sum(self._pure_powers.values()))
-        return self._codec.columns(list(chain.from_iterable(slices)))
+        return self._codec.columns(list(chain.from_iterable(_slices(self))))
 
     @cached_property
     def _staircase(self) -> dict[tuple[int, ...], int]:
@@ -486,8 +484,11 @@ def _expand_slice(slice_t: list[int], codec: _Codec) -> list[int]:
     return out
 
 
-def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
+def _slices(J: MonomialIdeal, upto: int | None = None) -> list[list[int]]:
     """Coded sous-escalier slices of any monomial ideal for t = 0..upto, each sorted.
+
+    ``upto=None`` reads an Artinian J to its end: no term of N(J) reaches
+    the degree sum of the pure powers.
 
     Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
     (see the module docstring): the verdict lands in ``J._stable`` at the
@@ -498,6 +499,8 @@ def _slices(J: MonomialIdeal, upto: int) -> list[list[int]]:
     past the codec's bound recodes it under a larger one.  Agreement with
     the definitions is pinned by tests.
     """
+    if upto is None:
+        upto = sum(J._pure_powers.values())
     store = J._slice_store
     if upto > J._codec.M and not J.is_artinian:
         # recode the slices so far under a bound at least twice as large

@@ -303,6 +303,16 @@ def test_hf_past_the_top_degree_counts_the_basis():
     assert kinds == {(True, True), (False, False)}
 
 
+def test_hf_below_the_top_degree_builds_no_stability_verdict():
+    # the stability verdict builds N(J) through the top generator degree, so a
+    # table that stops at or below it is counted from its own slices only
+    J = minimalize([term(1, 0, 0, 0), term(0, 150, 0, 0)])
+    assert hf_of_ideal(J, 0).values == (1,)
+    assert len(J._slice_store) == 1 and "_stable" not in J.__dict__
+    assert hf_of_ideal(J, 3).values == (1, 3, 6, 10)
+    assert len(J._slice_store) == 4 and "_stable" not in J.__dict__
+
+
 def test_hilbert_function_validation():
     with pytest.raises(DomainError):
         HilbertFunction((1, -2), Eventual("zero"))
