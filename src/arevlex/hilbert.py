@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, _slices, is_strongly_stable
@@ -35,9 +36,7 @@ class Series:
 
     def diff(self) -> "Series":
         """One finite difference, with f(-1) treated as 0 (so diff(0) = f(0))."""
-        k = len(self.values)
-        vals = tuple(self(t) - self(t - 1) for t in range(k + 1))
-        return Series(vals, 0)
+        return Series(tuple(map(sub, self.values + (self.tail,), (0,) + self.values)), 0)
 
     def diff_n(self, s: int) -> "Series":
         out = self

@@ -1,7 +1,11 @@
 """Monomial ideals via minimal bases, stability predicates and staircase data.
 
 A :class:`MonomialIdeal` is the minimal monomial basis B_J plus the ambient
-variable count.  Everything derived from it (sous-escalier slices, first
+variable count.  It holds B_J as exponent tuples (``_raw``), which the
+staircase, the tangent kernel and the JSON form read; ``min_gens``, the
+basis as :class:`Term` objects, is built on first read (by the text form,
+:func:`pommaret_decompose`, :func:`truncate_below` or a caller) and
+cached.  Everything derived from the basis (sous-escalier slices, first
 expansions, reduction numbers, colength, ...) is computed combinatorially
 and exactly.
 
@@ -85,7 +89,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, tee
 from operator import and_, attrgetter, eq, le, lshift, lt, mul, neg
@@ -194,18 +198,20 @@ class _Codec:
         return list(zip(*self.columns(codes)))
 
 
-@dataclass(frozen=True, eq=True)
 class MonomialIdeal:
-    """A monomial ideal given by its minimal basis, sorted increasing degrevlex."""
+    """A monomial ideal given by its minimal basis, sorted increasing degrevlex.
 
-    n: int
-    min_gens: tuple[Term, ...]
+    The basis is held as exponent tuples (``_raw``); ``min_gens`` is the same
+    basis as :class:`Term` objects.  Ideals are immutable, and two are equal
+    iff they have the same variable count and basis.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"need at least one variable, got n={self.n}")
-        raw = tuple(map(attrgetter("exponents"), self.min_gens))
-        if {*map(len, raw)} - {self.n}:
+    def __init__(self, n: int, min_gens: Sequence[Term]):
+        if n < 1:
+            raise DimensionError(f"need at least one variable, got n={n}")
+        min_gens = tuple(min_gens)
+        raw = tuple(map(attrgetter("exponents"), min_gens))
+        if {*map(len, raw)} - {n}:
             raise DimensionError("generator over the wrong variable count")
         if not _increasing(raw):
             raise DomainError("generators not strictly increasing in degrevlex")
@@ -217,8 +223,33 @@ class MonomialIdeal:
             other = index.below(raw[k]) & ~(1 << k)
             a = raw[(other & -other).bit_length() - 1]
             raise DomainError(f"basis not minimal: {a} divides {raw[k]}")
-        self.__dict__["_raw"] = raw
-        self.__dict__["_divisors"] = index
+        self.__dict__.update(n=n, min_gens=min_gens, _raw=raw, _divisors=index)
+
+    @cached_property
+    def min_gens(self) -> tuple[Term, ...]:
+        """B_J as terms: given to the checked constructor, else built from
+        ``_raw`` on first read, skipping the checks of :class:`Term`."""
+        gens = list(map(object.__new__, repeat(Term, len(self._raw))))
+        for g, e in zip(gens, self._raw):
+            g.__dict__["exponents"] = e
+        return tuple(gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._raw))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(n={self.n!r}, min_gens={self.min_gens!r})"
 
     @cached_property
     def _divisors(self) -> _Divisors:
@@ -230,7 +261,7 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.min_gens
+        return not self._raw
 
     def max_gen_degree(self) -> int:
         if self.is_zero:
@@ -433,17 +464,14 @@ def _increasing(raw: Sequence[tuple[int, ...]]) -> bool:
 def _trusted(n: int, raw: tuple[tuple[int, ...], ...], **seeds) -> MonomialIdeal:
     """The ideal on a basis that its builder proved sorted, distinct and minimal.
 
-    Skips the checks of :class:`MonomialIdeal` and of :class:`Term`, which
-    would only repeat that proof, and seeds the cached data the builder
-    already holds (``_divisors``, or ``_codec``, ``_slice_store``,
-    ``_stable`` and ``_pure_powers``).  Its two callers are :func:`_minimal`
-    and the greedy construction.
+    Skips the checks of :class:`MonomialIdeal`, which would only repeat that
+    proof, makes no :class:`Term` (``min_gens`` builds them on first read),
+    and seeds the cached data the builder already holds (``_divisors``, or
+    ``_codec``, ``_slice_store``, ``_stable`` and ``_pure_powers``).  Its two
+    callers are :func:`_minimal` and the greedy construction.
     """
-    gens = list(map(object.__new__, repeat(Term, len(raw))))
-    for g, e in zip(gens, raw):
-        g.__dict__["exponents"] = e
     J = object.__new__(MonomialIdeal)
-    J.__dict__.update(n=n, min_gens=tuple(gens), _raw=raw, **seeds)
+    J.__dict__.update(n=n, _raw=raw, **seeds)
     return J
 
 
@@ -782,18 +810,24 @@ def ideal_to_text(J: MonomialIdeal) -> str:
 
 
 def ideal_to_json(J: MonomialIdeal) -> dict:
-    return {"vars": J.n, "generators": [list(g.exponents) for g in J.min_gens]}
+    return {"vars": J.n, "generators": list(map(list, J._raw))}
 
 
 def ideal_from_json(data: dict) -> MonomialIdeal:
-    try:
-        n = json_int(data["vars"])
-        gens = data["generators"]
-        raw = _exponents_from_json(gens, n)
-        if raw is None:  # a list the bulk checks refuse, an empty one, or no list
+    if not isinstance(data, dict):
+        raise DomainError('malformed ideal JSON: expected an object with "vars" and "generators"')
+    n = json_int(_field(data, "vars"))
+    gens = _field(data, "generators")
+    raw = _exponents_from_json(gens, n)
+    if raw is None:  # a list the bulk checks refuse, an empty one, or no list
+        if isinstance(gens, (list, str, dict)):  # name the first offending entry
             terms = [term_from_json(g) for g in gens]
-            if type(gens) is not list:  # "" or {}: nothing to name an offender
-                raise DomainError(f"malformed ideal JSON: generators must be a list, got {gens!r}")
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed ideal JSON: {exc}") from exc
+        if type(gens) is not list:
+            raise DomainError(f"malformed ideal JSON: generators must be a list, got {gens!r}")
     return minimalize(terms, n) if raw is None else _minimal(n, raw)
+
+
+def _field(data: dict, name: str):
+    if name not in data:
+        raise DomainError(f'malformed ideal JSON: missing "{name}"')
+    return data[name]

@@ -331,7 +331,7 @@ def tangent_bounds(J: MonomialIdeal) -> tuple[int, int]:
     """(|B_J| * border generators, |B_J| * colength); the upper bound is the
     parameter count."""
     _require_artinian_stable(J)
-    nb = len(J.min_gens)
+    nb = len(J._raw)
     return nb * border_generator_count(J), nb * colength(J)
 
 

@@ -301,14 +301,14 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
 @pytest.mark.parametrize("ideal, message", [
     ({"vars": 2, "generators": "abc"}, "expected a list of exponents, got 'a'"),
     ({"vars": 2, "generators": {"a": [1, 0]}}, "expected a list of exponents, got 'a'"),
-    ({"vars": 2, "generators": 5}, "malformed ideal JSON: 'int' object is not iterable"),
-    ({"vars": 2, "generators": 1.5}, "malformed ideal JSON: 'float' object is not iterable"),
+    ({"vars": 2, "generators": 5}, "malformed ideal JSON: generators must be a list, got 5"),
+    ({"vars": 2, "generators": 1.5}, "malformed ideal JSON: generators must be a list, got 1.5"),
     ({"vars": 2, "generators": [[1, 0], []]}, "a term needs at least one variable"),
     ({"vars": 2, "generators": [[2, 0], [-1, 3]]}, "negative exponent in (-1, 3)"),
     ({"vars": 3, "generators": [[0, 2, 1], [1, 1, -1], [1.5, 0, 0]]},
      "negative exponent in (1, 1, -1)"),
-    ({"vars": 2}, "malformed ideal JSON: 'generators'"),
-    ([[1, 0], [0, 1]], "malformed ideal JSON: list indices must be integers or slices, not str"),
+    ({"vars": 2}, 'malformed ideal JSON: missing "generators"'),
+    ([[1, 0], [0, 1]], 'malformed ideal JSON: expected an object with "vars" and "generators"'),
     ({"vars": 0, "generators": [[-1]]}, "negative exponent in (-1,)"),
     ({"vars": -1, "generators": [[]]}, "a term needs at least one variable"),
     ({"vars": 0, "generators": [[1.5]]}, "expected an integer, got 1.5"),
@@ -316,11 +316,13 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
     ({"vars": -1, "generators": "ab"}, "expected a list of exponents, got 'a'"),
     ({"vars": 2, "generators": ""}, "malformed ideal JSON: generators must be a list, got ''"),
     ({"vars": 2, "generators": {}}, "malformed ideal JSON: generators must be a list, got {}"),
+    ({"generators": [[1]]}, 'malformed ideal JSON: missing "vars"'),
 ])
 def test_ideal_file_malformed_message(tmp_path, capsys, command, ideal, message):
     # the bulk checks of the loader refuse these, and the per-generator
-    # parse names the first offender, in file order; an empty string or
-    # object has none, and is refused as no list rather than read as (0)
+    # parse names the first offender, in file order; a number, an empty
+    # string or object has none, and is refused as no list rather than read
+    # as (0); a missing field, or a file that is no object, names the fields
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(ideal))
     assert run_cli(capsys, command, "--ideal", str(path)) == (1, "", f"error: {message}\n")
@@ -580,9 +582,10 @@ def test_source_has_no_orphaned_private_helper():
 
 def test_instance_dict_is_written_in_three_places():
     # the cache protocol: a derived fact of an ideal is a declared cached
-    # property; only the trusted builder seeds caches (and the Terms it makes),
-    # the checked constructor stores its basis and index, and the staircase
-    # recursion stores the stability verdict it finds and a recoded codec
+    # property; only the trusted builder seeds caches, the checked constructor
+    # stores its basis (the Terms it was given) and index, and the staircase
+    # recursion stores the stability verdict it finds and a recoded codec;
+    # the Term view of the basis writes the dict of each Term it makes
     import ast
     from functools import cached_property
     from pathlib import Path
@@ -613,15 +616,53 @@ def test_instance_dict_is_written_in_three_places():
     for path in sorted(Path(arevlex.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert writes == {
-        "ideals._trusted": {"exponents", "n", "min_gens", "_raw", "**"},
-        "ideals.MonomialIdeal.__post_init__": {"_raw", "_divisors"},
+        "ideals._trusted": {"n", "_raw", "**"},
+        "ideals.MonomialIdeal.__init__": {"n", "min_gens", "_raw", "_divisors"},
+        "ideals.MonomialIdeal.min_gens": {"exponents"},
         "ideals._slices": {"_stable", "_codec"},
     }
     # what a builder seeds is a declared cache of the ideal
     cached = {name for name, value in vars(MonomialIdeal).items()
               if isinstance(value, cached_property)}
     assert seeds and seeds <= cached, seeds - cached
-    assert {"_codec", "_slice_store", "_stable", "_divisors"} <= cached
+    assert {"_codec", "_slice_store", "_stable", "_divisors", "min_gens"} <= cached
+
+
+def test_cli_reads_the_basis_as_exponent_tuples(tmp_path, capsys, monkeypatch):
+    # construct, hilbert --ideal and tangent -d never read the Term view of
+    # their ideal; read later, it equals the checked constructor's basis
+    from dataclasses import FrozenInstanceError
+
+    from arevlex import MonomialIdeal, Term, cli
+
+    seen = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(J, *args):
+            seen.append(J)
+            return original(J, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(cli.i_mod, "ideal_to_json")
+    record(cli.h_mod, "hf_of_ideal")
+    record(cli.t_mod, "tangent_dim")
+    code, out, _ = run_cli(capsys, "construct", "-d", "3,4,4", "--format", "json")
+    path = tmp_path / "J.json"
+    path.write_text(out)
+    assert code == 0 and run_cli(capsys, "hilbert", "--ideal", str(path))[0] == 0
+    assert run_cli(capsys, "tangent", "-d", "3,4,4")[0] == 0
+    assert len(seen) == 3 and seen[0] == seen[1] == seen[2]
+    for J in seen:
+        assert "min_gens" not in J.__dict__
+        gens = J.min_gens
+        assert J.__dict__["min_gens"] is gens and len(gens) == 14
+        assert gens == tuple(map(Term, J._raw))
+        K = MonomialIdeal(J.n, gens)
+        assert K.min_gens == gens and K == J and hash(K) == hash(J)
+        with pytest.raises(FrozenInstanceError):
+            J.n = 4
 
 
 @pytest.mark.parametrize("command", ["tangent", "classify", "verify"])

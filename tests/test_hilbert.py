@@ -14,6 +14,7 @@ from arevlex import (
     Eventual,
     HilbertFunction,
     MonomialIdeal,
+    Series,
     StabilityError,
     Term,
     almost_revlex_ci,
@@ -109,6 +110,21 @@ def test_derivative_matches_shift_identity():
         d = derivative(H, 1)
         for t in range(sum(degs)):
             assert d(t) == Hm(t) - Hm(t - degs[-1])
+
+
+def test_series_diff_is_the_pointwise_difference():
+    # diff(f)(t) = f(t) - f(t-1) with f(-1) = 0: through t = len(values), where
+    # the tail enters, and 0 from there on
+    rng = random.Random(2601)
+    cases = [((), 0), ((), 7), ((), -3), ((4,), 0), ((4,), 4), ((2, -5), -1)]
+    cases += [(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 12))), rng.randint(-9, 9))
+              for _ in range(300)]
+    for values, tail in cases:
+        f = Series(values, tail)
+        d = f.diff()
+        assert len(d.values) == len(values) + 1 and d.tail == 0, (values, tail)
+        assert [d(t) for t in range(-2, len(values) + 4)] == [
+            f(t) - f(t - 1) for t in range(-2, len(values) + 4)], (values, tail)
 
 
 def test_c_index_goldens():
