@@ -307,7 +307,9 @@ def test_ideal_file_rejects_non_integers(tmp_path, capsys, ideal):
     ({"vars": 2, "generators": [[2, 0], [-1, 3]]}, "negative exponent in (-1, 3)"),
     ({"vars": 3, "generators": [[0, 2, 1], [1, 1, -1], [1.5, 0, 0]]},
      "negative exponent in (1, 1, -1)"),
-    ({"vars": 2}, 'malformed ideal JSON: missing "generators"'),
+    # this case keeps the name it had when the message was the bare field name
+    pytest.param({"vars": 2}, 'malformed ideal JSON: missing "generators"',
+                 id="ideal7-malformed ideal JSON: 'generators'"),
     ([[1, 0], [0, 1]], 'malformed ideal JSON: expected an object with "vars" and "generators"'),
     ({"vars": 0, "generators": [[-1]]}, "negative exponent in (-1,)"),
     ({"vars": -1, "generators": [[]]}, "a term needs at least one variable"),
