@@ -57,8 +57,6 @@ from .ideals import (
     ideal_to_text,
     is_almost_revlex,
     is_quasi_stable,
-    is_revlex_ideal,
-    is_revlex_segment,
     is_stable,
     is_strongly_stable,
     krull_dim,
@@ -67,7 +65,6 @@ from .ideals import (
     reduction_number,
     regularity,
     sous_escalier,
-    truncate_below,
 )
 from .marked_reduction import audit_tangent, full_reduce, oracle_rows
 from .tangent import (
@@ -75,7 +72,6 @@ from .tangent import (
     TangentReport,
     classify_ci,
     classify_stable,
-    hc1_bounds,
     tangent_bounds,
     tangent_dim,
 )

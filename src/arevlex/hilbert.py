@@ -16,7 +16,7 @@ from math import comb
 from operator import sub
 
 from .errors import DomainError
-from .ideals import MonomialIdeal, _slices, is_strongly_stable
+from .ideals import MonomialIdeal, _field, _slices, is_strongly_stable
 from .terms import json_int, raw_min_var
 
 
@@ -111,13 +111,18 @@ class HilbertFunction:
 
 
 def hf_from_json(data: dict) -> HilbertFunction:
-    try:
-        ev = data.get("eventual")
-        eventual = None if ev is None else Eventual(ev["kind"], json_int(ev.get("value", 0)))
-        values = tuple(json_int(v) for v in data["values"])
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DomainError(f"malformed Hilbert function JSON: {exc}") from exc
-    return HilbertFunction(values, eventual)
+    if not isinstance(data, dict):
+        raise DomainError('malformed Hilbert function JSON: expected an object with "values"')
+    ev = data.get("eventual")
+    if ev is not None and not isinstance(ev, dict):
+        raise DomainError(
+            f"malformed Hilbert function JSON: eventual must be an object or null, got {ev!r}")
+    eventual = None if ev is None else Eventual(
+        _field(ev, "kind", "Hilbert function"), json_int(ev.get("value", 0)))
+    values = _field(data, "values", "Hilbert function")
+    if type(values) is not list:
+        raise DomainError(f"malformed Hilbert function JSON: values must be a list, got {values!r}")
+    return HilbertFunction(tuple(map(json_int, values)), eventual)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ A :class:`MonomialIdeal` is the minimal monomial basis B_J plus the ambient
 variable count.  It holds B_J as exponent tuples (``_raw``), which the
 staircase, the tangent kernel and the JSON form read; ``min_gens``, the
 basis as :class:`Term` objects, is built on first read (by the text form,
-:func:`pommaret_decompose`, :func:`truncate_below` or a caller) and
-cached.  Everything derived from the basis (sous-escalier slices, first
-expansions, reduction numbers, colength, ...) is computed combinatorially
-and exactly.
+:func:`pommaret_decompose` or a caller) and cached.  Everything derived
+from the basis (sous-escalier slices, first expansions, reduction numbers,
+colength, ...) is computed combinatorially and exactly.
 
 Membership has two routes, each the only one for its inputs:
 
@@ -98,7 +97,6 @@ from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
     Term,
     _exponents_from_json,
-    enumerate_terms,
     json_int,
     raw_key,
     raw_max_var,
@@ -644,7 +642,7 @@ def first_expansion(J: MonomialIdeal, t: int) -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
-# stability hierarchy and revlex predicates
+# stability hierarchy and the almost revlex predicate
 
 
 def is_quasi_stable(J: MonomialIdeal) -> bool:
@@ -657,18 +655,6 @@ def is_stable(J: MonomialIdeal) -> bool:
 
 def is_strongly_stable(J: MonomialIdeal) -> bool:
     return J._strongly_stable
-
-
-def is_revlex_segment(terms: list[Term]) -> bool:
-    """True iff the (same-degree) terms form an upward-closed degrevlex segment."""
-    if not terms:
-        return True
-    t = terms[0].degree
-    if any(m.degree != t for m in terms):
-        raise DomainError("revlex segment test requires equal degrees")
-    n = terms[0].nvars
-    top = enumerate_terms(n, t)[-len(set(terms)):]
-    return sorted(set(terms), key=Term.sort_key) == top
 
 
 def is_almost_revlex(J: MonomialIdeal) -> bool:
@@ -692,25 +678,8 @@ def is_almost_revlex(J: MonomialIdeal) -> bool:
     return True
 
 
-def is_revlex_ideal(J: MonomialIdeal) -> bool:
-    """True iff J_t is a revlex segment for every t up to the regularity."""
-    if J.is_zero:
-        return True
-    if not J._stable:
-        return False
-    reg = J.max_gen_degree()
-    slices = _slices(J, reg)
-    decode = J._codec.decode
-    # J_t is a segment iff N(J)_t is exactly the bottom of the degree slice.
-    for t in range(reg + 1):
-        bottom = [m.exponents for m in enumerate_terms(J.n, t)[: len(slices[t])]]
-        if bottom != decode(slices[t]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# ring extension and truncation
+# ring extension
 
 
 def extend_ring(J: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -719,13 +688,6 @@ def extend_ring(J: MonomialIdeal, m: int) -> MonomialIdeal:
         raise DimensionError(f"cannot shrink ring from {J.n} to {m} variables")
     pad = (0,) * (m - J.n)
     return MonomialIdeal(m, tuple(Term(g + pad) for g in J._raw))
-
-
-def truncate_below(J: MonomialIdeal, t: int) -> MonomialIdeal:
-    """The ideal generated by the minimal generators of degree <= t."""
-    if t < 0:
-        raise DomainError("truncation degree must be nonnegative")
-    return MonomialIdeal(J.n, tuple(g for g in J.min_gens if g.degree <= t))
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +778,8 @@ def ideal_to_json(J: MonomialIdeal) -> dict:
 def ideal_from_json(data: dict) -> MonomialIdeal:
     if not isinstance(data, dict):
         raise DomainError('malformed ideal JSON: expected an object with "vars" and "generators"')
-    n = json_int(_field(data, "vars"))
-    gens = _field(data, "generators")
+    n = json_int(_field(data, "vars", "ideal"))
+    gens = _field(data, "generators", "ideal")
     raw = _exponents_from_json(gens, n)
     if raw is None:  # a list the bulk checks refuse, an empty one, or no list
         if isinstance(gens, (list, str, dict)):  # name the first offending entry
@@ -827,7 +789,7 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
     return minimalize(terms, n) if raw is None else _minimal(n, raw)
 
 
-def _field(data: dict, name: str):
+def _field(data: dict, name: str, document: str):
     if name not in data:
-        raise DomainError(f'malformed ideal JSON: missing "{name}"')
+        raise DomainError(f'malformed {document} JSON: missing "{name}"')
     return data[name]

@@ -51,9 +51,8 @@ it is, so an internal fault cannot pass for a smaller tangent space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
-from math import comb, prod
+from math import prod
 from operator import add, mul
 
 from . import construct as _construct
@@ -365,23 +364,6 @@ def classify_stable(J: MonomialIdeal) -> ClassificationVerdict:
     )
 
 
-def hc1_bounds(degrees) -> tuple[Fraction, Fraction | None]:
-    """Coarse and refined lower bounds for the peak value H(c_1), as rationals.
-
-    The refined bound subtracts the binomial head and tail of the table and
-    is reported as None when its denominator is nonpositive.
-    """
-    degrees = validate_degrees(degrees)
-    n = len(degrees)
-    D = prod(degrees)
-    coarse = Fraction(D, sum(degrees))
-    den = sum(degrees) - n + 1 - 2 * degrees[0]
-    if den <= 0:
-        return coarse, None
-    refined = Fraction(D - 2 * comb(n + degrees[0] - 1, degrees[0] - 1), den)
-    return coarse, refined
-
-
 def classify_ci(degrees, exact: bool = True) -> ClassificationVerdict:
     """Singularity cascade for the almost revlex point with a CI Hilbert function.
 
@@ -402,8 +384,8 @@ def classify_ci(degrees, exact: bool = True) -> ClassificationVerdict:
 
     # criterion (ii), prod(d_1..d_{n-1}) > n^3*d_n, is not tested: it gives
     # D > n^3*d_n^2 >= n*(sum d)^2, so (i) has already fired.  Nor is the
-    # refined bound of hc1_bounds: it never exceeds H(c_1), so whenever its
-    # square beats lex, Hc1-squared has already fired.
+    # bound (D - 2*C(n+d_1-1, d_1-1))/(sum d - n + 1 - 2*d_1) <= H(c_1): when
+    # its square beats lex, Hc1-squared has already fired.
     if D > n * total**2:
         return ClassificationVerdict(
             "singular",

@@ -11,7 +11,8 @@ import functools
 import itertools
 import random
 from bisect import insort
-from math import prod
+from fractions import Fraction
+from math import comb, prod
 from operator import le
 
 from arevlex import (
@@ -28,7 +29,7 @@ from arevlex import (
     minimalize,
 )
 from arevlex.hilbert import validate_degrees
-from arevlex.ideals import _pommaret_raw
+from arevlex.ideals import _pommaret_raw, _slices
 from arevlex.tangent import _equation_pairs
 from arevlex.terms import raw_key, raw_min_var, raw_mul, raw_var
 
@@ -393,6 +394,52 @@ def ci_degree_grid(max_vars: int, d_lo: int, d_hi: int, max_product: int):
         for degs in itertools.combinations_with_replacement(range(d_lo, d_hi + 1), n):
             if prod(degs) <= max_product:
                 yield degs
+
+
+# facts of the paper that the package itself does not need: the bounds on
+# H(c_1) that the singularity cascade no longer tests, the revlex predicate
+# and the truncation of the paper's induction
+
+
+def hc1_bounds(degrees) -> tuple[Fraction, Fraction | None]:
+    """Coarse and refined lower bounds for the peak value H(c_1), as rationals.
+
+    The refined bound subtracts the binomial head and tail of the table and
+    is reported as None when its denominator is nonpositive.
+    """
+    degrees = validate_degrees(degrees)
+    n = len(degrees)
+    D = prod(degrees)
+    coarse = Fraction(D, sum(degrees))
+    den = sum(degrees) - n + 1 - 2 * degrees[0]
+    if den <= 0:
+        return coarse, None
+    refined = Fraction(D - 2 * comb(n + degrees[0] - 1, degrees[0] - 1), den)
+    return coarse, refined
+
+
+def is_revlex_ideal(J: MonomialIdeal) -> bool:
+    """True iff J_t is a revlex segment for every t up to the regularity."""
+    if J.is_zero:
+        return True
+    if not J._stable:
+        return False
+    reg = J.max_gen_degree()
+    slices = _slices(J, reg)
+    decode = J._codec.decode
+    # J_t is a segment iff N(J)_t is exactly the bottom of the degree slice.
+    for t in range(reg + 1):
+        bottom = [m.exponents for m in enumerate_terms(J.n, t)[: len(slices[t])]]
+        if bottom != decode(slices[t]):
+            return False
+    return True
+
+
+def truncate_below(J: MonomialIdeal, t: int) -> MonomialIdeal:
+    """The ideal generated by the minimal generators of degree <= t."""
+    if t < 0:
+        raise DomainError("truncation degree must be nonnegative")
+    return MonomialIdeal(J.n, tuple(g for g in J.min_gens if g.degree <= t))
 
 
 def paper_lift_ci(n: int, degrees) -> MonomialIdeal:

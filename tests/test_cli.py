@@ -539,14 +539,14 @@ def test_public_surface_is_the_declared_list():
         "check_symmetry", "check_unimodal_ranges", "ci_hilbert", "ci_hilbert_oracle",
         "classify_ci", "classify_stable", "cmp_degrevlex", "colength", "contains",
         "derivative", "enumerate_terms", "extend_ring", "first_expansion",
-        "full_reduce", "greatest", "hc1_bounds", "hf_from_json", "hf_of_ideal",
+        "full_reduce", "greatest", "hf_from_json", "hf_of_ideal",
         "ideal_from_json", "ideal_to_json", "ideal_to_text", "is_almost_revlex",
-        "is_quasi_stable", "is_revlex_ideal", "is_revlex_segment", "is_stable",
+        "is_quasi_stable", "is_stable",
         "is_strongly_stable", "krull_dim", "mingen_count_ci", "mingen_count_formula",
         "minimalize", "one", "oracle_rows", "pardue_truncation", "pommaret_decompose",
         "reduction_number", "regularity", "sous_escalier", "tangent_bounds",
         "tangent_dim", "term", "term_from_json", "term_from_text", "term_to_text",
-        "truncate_below", "variable", "varrho",
+        "variable", "varrho",
     ]
 
 

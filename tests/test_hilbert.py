@@ -33,7 +33,6 @@ from arevlex import (
     hf_of_ideal,
     ideal_to_text,
     is_almost_revlex,
-    is_revlex_ideal,
     is_stable,
     mingen_count_formula,
     minimalize,
@@ -42,7 +41,6 @@ from arevlex import (
     reduction_number,
     sous_escalier,
     term,
-    truncate_below,
     variable,
     varrho,
 )
@@ -50,7 +48,14 @@ from arevlex.cli import main
 from arevlex.hilbert import validate_degrees
 from arevlex.ideals import _slices
 
-from helpers import borel_closure, ci_degree_grid, curve_ideal, random_monomial_ideal
+from helpers import (
+    borel_closure,
+    ci_degree_grid,
+    curve_ideal,
+    is_revlex_ideal,
+    random_monomial_ideal,
+    truncate_below,
+)
 
 
 def curve_hf() -> HilbertFunction:
@@ -214,10 +219,16 @@ def test_library_entry_points_reject_non_integers():
         hf_from_json({"values": [1, 2, 2], "eventual": {"kind": "constant", "value": 2.0}})
     with pytest.raises(DomainError):
         classify_ci(("3", "3", "3"))
-    for bad in [{}, {"values": 5}, {"values": [1], "eventual": "zero"},
-                {"values": [1], "eventual": {"value": 0}}, [1, 2]]:
-        with pytest.raises(DomainError, match="malformed Hilbert function JSON"):
+    for bad, message in [
+        ({}, 'missing "values"'),
+        ({"values": 5}, "values must be a list, got 5"),
+        ({"values": [1], "eventual": "zero"}, "eventual must be an object or null, got 'zero'"),
+        ({"values": [1], "eventual": {"value": 0}}, 'missing "kind"'),
+        ([1, 2], 'expected an object with "values"'),
+    ]:
+        with pytest.raises(DomainError) as info:
             hf_from_json(bad)
+        assert str(info.value) == f"malformed Hilbert function JSON: {message}", bad
 
 
 def ci_ideal_344():

@@ -27,8 +27,6 @@ from arevlex import (
     ideal_to_text,
     is_almost_revlex,
     is_quasi_stable,
-    is_revlex_ideal,
-    is_revlex_segment,
     is_stable,
     is_strongly_stable,
     krull_dim,
@@ -39,7 +37,6 @@ from arevlex import (
     regularity,
     sous_escalier,
     term,
-    truncate_below,
 )
 from arevlex import terms as terms_module
 from arevlex.ideals import _Divisors, _slices
@@ -58,10 +55,12 @@ from helpers import (
     curve_ideal,
     curve_ideal_alt,
     ideal_with_staircase,
+    is_revlex_ideal,
     order_ideals,
     random_artinian_ideal,
     random_monomial_ideal,
     random_strongly_stable,
+    truncate_below,
 )
 
 
@@ -607,14 +606,6 @@ def test_almost_revlex_brute_force_small():
             assert is_almost_revlex(J) == brute_is_almost_revlex(J)
     for J in [curve_ideal(), curve_ideal_alt()]:
         assert is_almost_revlex(J) == brute_is_almost_revlex(J)
-
-
-def test_revlex_segment():
-    assert is_revlex_segment([term(2, 0), term(1, 1)])
-    assert not is_revlex_segment([term(2, 0), term(0, 2)])
-    assert is_revlex_segment([])
-    with pytest.raises(DomainError):
-        is_revlex_segment([term(1, 0), term(2, 0)])
 
 
 def test_revlex_ideal_implies_almost_revlex():

@@ -20,7 +20,6 @@ from arevlex import (
     classify_ci,
     classify_stable,
     colength,
-    hc1_bounds,
     is_stable,
     is_strongly_stable,
     minimalize,
@@ -40,6 +39,7 @@ from arevlex.terms import raw_key, raw_min_var
 from helpers import (
     artinian_stable_ideals,
     ci_degree_grid,
+    hc1_bounds,
     hom_dim,
     random_artinian_ideal,
     random_strongly_stable,
