@@ -1,23 +1,22 @@
 """Exact rank of sparse integer matrices by fraction-free elimination.
 
-Rows are dicts mapping column index to a nonzero integer.  Elimination uses
-cross-multiplication followed by content (gcd) removal, so every
-intermediate entry stays an exact integer; the rank equals the rank over
-the rationals.
+Rows are dicts mapping column index to an integer.  Every intermediate
+entry stays an exact integer, so the rank is the rank over the rationals.
+A row is reduced by the pivot row p whose pivot column c is the row's
+smallest column, with a = p[c] and b = row[c].  The fraction-free step is
+a * row - b * p.  When a divides b, the step is row - (b // a) * p
+instead: that is the fraction-free row divided by the nonzero integer a, so
+it spans the same line, clears column c as well, and keeps the entries
+small without a multiplication.  Only when a does not divide b is the row
+cross-multiplied.  A pivot row is stored divided by its content (the gcd
+of its entries).  Input rows are never mutated: a step writes to a copy of
+the row, and a row with no zero entry and content 1 becomes a pivot as it
+is.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-
-def _normalize(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
 
 
 def rank(rows) -> int:
@@ -26,26 +25,29 @@ def rank(rows) -> int:
     The smallest column index of a row becomes its pivot.
     """
     pivots: dict[int, dict[int, int]] = {}
-    r = 0
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             p = pivots.get(c)
             if p is None:
-                pivots[c] = _normalize(row)
-                r += 1
+                g = gcd(*row.values())
+                pivots[c] = {k: v // g for k, v in row.items()} if g > 1 else row
                 break
             a, b = p[c], row[c]
-            new = {k: v * a for k, v in row.items()}
+            if b % a:
+                new = {k: v * a for k, v in row.items()}
+            else:
+                new, b = row.copy(), b // a
             for k, v in p.items():
                 w = new.get(k, 0) - v * b
                 if w:
                     new[k] = w
                 else:
-                    new.pop(k, None)
+                    del new[k]
             row = new
-    return r
+    return len(pivots)
 
 
 def row_space_equal(rows_a: list[dict[int, int]], rows_b: list[dict[int, int]]) -> bool:

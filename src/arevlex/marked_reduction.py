@@ -58,9 +58,11 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     x^delta * f_alpha puts -C[alpha, b] at delta * b for each b in N(J).
     Every term still inside J then has a coefficient in (C), and rewriting
     it would only add terms in (C)^2, which are zero: so this one rewrite is
-    the whole reduction, and those terms drop out of the remainder.  The
-    parameter C[gens[a], b] has id a*D + (the position of b in N(J)), read
-    from the ideal's staircase index.  The block is a generator index gi
+    the whole reduction, and those terms drop out of the remainder: a
+    product x_j * b or delta * b inside J is never entered, only those in
+    N(J) are summed.  The parameter C[gens[a], b] has id a*D + (the
+    position of b in N(J)), read from the ideal's staircase index, which
+    is also the membership test for N(J).  The block is a generator index gi
     of B_J and a variable x_j with j below min(gens[gi]); any other block
     raises DomainError.
     """
@@ -76,12 +78,16 @@ def full_reduce(J: MonomialIdeal, gi: int, j: int) -> dict:
     ai, delta = _pommaret_raw(J, raw_mul(xj, gens[gi]))
     poly: dict[tuple[int, ...], CPoly] = {}
     for b, i in pos.items():
-        _add_term(poly.setdefault(raw_mul(xj, b), {}), (gi * D + i,), 1)
+        m = raw_mul(xj, b)
+        if m in pos:
+            _add_term(poly.setdefault(m, {}), (gi * D + i,), 1)
     base = ai * D
     # subtract x^delta * f_alpha; its head cancels x_j * x^gamma exactly
     for b, i in pos.items():
-        _add_term(poly.setdefault(raw_mul(delta, b), {}), (base + i,), -1)
-    return {m: c for m, c in poly.items() if c and m in pos}
+        m = raw_mul(delta, b)
+        if m in pos:
+            _add_term(poly.setdefault(m, {}), (base + i,), -1)
+    return {m: c for m, c in poly.items() if c}
 
 
 def oracle_rows(J: MonomialIdeal):

@@ -572,6 +572,31 @@ def stream_union_find_rank(J: MonomialIdeal) -> tuple[int, int]:
     return merges, count
 
 
+def fraction_rank(rows) -> int:
+    """Rank over Q of sparse integer rows by plain Gaussian elimination.
+
+    The reference for the fraction-free ``linalg.rank``: the rows become
+    dense lists of ``Fraction`` over the columns that occur, and each column
+    in increasing order clears its entries below the pivot by division.
+    """
+    rows = list(rows)
+    cols = sorted({c for row in rows for c in row})
+    matrix = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            if matrix[i][j]:
+                f = matrix[i][j] / top[j]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], top)]
+        rank += 1
+    return rank
+
+
 # fixed ideals used across the suite: two strongly stable ideals sharing the
 # Hilbert function 1,3,6,6,5,5,... of a degree-5 space curve section
 CURVE_GENS = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (2, 0, 2)]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import gzip
 import json
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from arevlex.terms import raw_key, raw_min_var
 from helpers import (
     artinian_stable_ideals,
     ci_degree_grid,
+    fraction_rank,
     hc1_bounds,
     hom_dim,
     random_artinian_ideal,
@@ -453,6 +456,58 @@ def test_rank_small_matrices():
     assert rank([{0: 2, 1: 4}, {0: 1, 1: 3}, {0: 0}]) == 2
     assert row_space_equal([{0: 1}, {1: 1}], [{0: 3, 1: 4}, {0: 1, 1: 1}])
     assert not row_space_equal([{0: 1}], [{1: 1}])
+
+
+def random_sparse_matrix(rng) -> list[dict[int, int]]:
+    """Integer rows with entries in -4..4 (zeros stored explicitly), plus
+    duplicated rows and integer combinations of two rows."""
+    ncols = rng.randint(1, 7)
+    rows = [{c: rng.randint(-4, 4) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+            for _ in range(rng.randint(0, 7))]
+    for _ in range(rng.randint(0, 3) if rows else 0):
+        if rng.random() < 0.5:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            r, s = rng.choice(rows), rng.choice(rows)
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append({c: u * r.get(c, 0) + v * s.get(c, 0) for c in r.keys() | s.keys()})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_equals_fraction_elimination():
+    # exact-quotient steps (the pivot entry divides the row's entry) and
+    # cross-multiplied ones both occur with entries in -4..4.  A step that
+    # fails to clear its column never ends, so the battery runs under an
+    # alarm, which turns a hang into a failure
+    def hang(signum, frame):
+        raise AssertionError("linalg.rank did not finish")
+
+    rng = random.Random(2805)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        for _ in range(400):
+            rows = random_sparse_matrix(rng)
+            before = copy.deepcopy(rows)
+            expected = fraction_rank(rows)
+            assert rank(rows) == expected, rows
+            assert rank(row for row in rows) == expected, rows
+            assert rows == before, "rank mutated its input"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_full_reduce_enters_only_staircase_terms():
+    # products inside J are never entered, and a coefficient that cancels
+    # to nothing leaves the remainder
+    for J in artinian_stable_ideals(3, 12):
+        pos = J._staircase
+        for gi, g in enumerate(J._raw):
+            for j in range(1, raw_min_var(g)):
+                for m, coeff in marked_reduction.full_reduce(J, gi, j).items():
+                    assert m in pos and coeff and all(coeff.values()), (J, gi, j, m)
 
 
 def test_classify_ci_goldens():
