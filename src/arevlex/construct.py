@@ -22,7 +22,10 @@ lies in N_t (the moves of G_{<t} stay in I): a lookup of their codes,
 the check that ``ideals._slices`` makes.  Passing it at every t
 proves the whole basis minimal and stable, and the kept slices are N(J).
 The check cannot fail: a move of g is greater than g in degrevlex, and N_t
-keeps only terms below every term of G_t.  Like T >= nD in
+keeps only terms below every term of G_t.  ``_moves_leave`` reads exactly
+that off the codes, so the check costs one comparison per degree (the
+least code of G_t against the top of N_t), and it still runs in every
+degree.  Like T >= nD in
 :mod:`arevlex.tangent` it is an invariant, raised as AssertionError, and
 so is the almost revlex check of :func:`almost_revlex_for`.
 

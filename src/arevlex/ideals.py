@@ -56,7 +56,12 @@ the degree-t generators, each outside I, are exactly the expanded terms in
 J, and a ``bisect`` per generator removes them (one not found is an
 invariant failure).  I + (degree-t generators) stays stable iff no move
 x_j*g/x_min(g) of those generators, code(g) - R^(j-1) + R^(min(g)-1),
-lies in the exact slice N(J)_t.  The first failing move shows J is not
+lies in the exact slice N(J)_t.  Degrevlex order decides the common case
+of both tests exactly: when the generators are the top of the expansion,
+as in every almost revlex ideal, one list comparison removes them
+(``_remove_sorted``); and a move's code exceeds its generator's, so when
+the least generator lies above the top of N(J)_t one comparison shows no
+move lands (``_moves_leave``).  The first failing move shows J is not
 stable, and later slices decode their terms and ask ``_Divisors``;
 reaching the top generator degree shows J is stable.  Two callers run
 this step to prove a basis and hand the ideal its slices, codec and
@@ -91,7 +96,7 @@ from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, tee
-from operator import and_, attrgetter, eq, le, lshift, lt, mul, neg
+from operator import add, and_, attrgetter, eq, le, lshift, lt, mul, neg
 
 from .errors import DimensionError, DomainError, StabilityError
 from .terms import (
@@ -400,31 +405,41 @@ def minimalize(gens: list[Term], n: int | None = None) -> MonomialIdeal:
 def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of exponent tuples over n variables, checked to be of length n.
 
-    Sorts and deduplicates only a list that does not already strictly
-    increase.  A list with a pure power of every variable and no constant
-    term then drops the terms with an exponent above every smallest pure
-    power (multiples of one, and past the codec's bound M) and runs
-    ``_stable_step`` up the degrees: a held candidate is a minimal
+    A list with a pure power of every variable and no constant term takes
+    the smallest pure power of each variable, in any order, and M, the
+    largest of them.  It drops the terms with an exponent above M
+    (multiples of a pure power, and past the codec's bound) only if the
+    largest exponent exceeds M, and encodes the rest once.  As every code
+    lies in 0..top, the integer keys deg*(top + 1) + code strictly increase
+    exactly when the terms strictly increase in degrevlex; only a list that
+    fails that check is sorted, deduplicated and encoded again.  It then
+    runs ``_stable_step`` up the degrees: a held candidate is a minimal
     generator, a missed one a multiple.  At the first empty slice the rest
     are multiples and the ideal gets its basis, codec, slices, stable
-    verdict and pure powers.  Any other list, and one that meets a failing
-    move or whose staircase outgrows 64 terms per candidate (a pure power
-    of 10^9, say), keeps the terms that no other divides, in one batched
-    pass of the divisor index.
+    verdict and pure powers.  Any other list builds no codec; it is sorted
+    and deduplicated only if it does not already strictly increase
+    (``_increasing``).  It, and a list that meets a failing move or whose
+    staircase outgrows 64 terms per candidate (a pure power of 10^9, say),
+    keeps the terms that no other divides, in one batched pass of the
+    divisor index.
     """
-    if not _increasing(raw):
-        raw = sorted(set(raw), key=raw_key)
     powers: dict[int, int] = {}
-    if raw and any(raw[0]):  # the constant term sorts first
-        # a pure power has n - 1 zero exponents
-        for g in compress(raw, map(eq, map(tuple.count, raw, repeat(0)), repeat(n - 1))):
-            powers.setdefault(raw_max_var(g), sum(g))  # the first is the smallest
-    if len(powers) == n:
+    # a pure power has n - 1 zero exponents; keep the smallest of each variable
+    for g in compress(raw, map(eq, map(tuple.count, raw, repeat(0)), repeat(n - 1))):
+        v, e = raw_max_var(g), sum(g)
+        if e < powers.get(v, e + 1):
+            powers[v] = e
+    if len(powers) == n and (0,) * n not in raw:
         M = max(powers.values())
-        raw = list(compress(raw, map(le, map(max, raw), repeat(M))))
-        degs = list(map(sum, raw))
+        if max(map(max, raw)) > M:
+            raw = list(compress(raw, map(le, map(max, raw), repeat(M))))
         codec = _Codec(n, M)
         codes = codec.encode(raw)
+        degs = list(map(sum, raw))
+        keys = list(map(add, map(mul, degs, repeat(codec.top + 1)), codes))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raw = sorted(set(raw), key=raw_key)
+            codes, degs = codec.encode(raw), list(map(sum, raw))
         store, found, lo, budget = [[codec.top]], [], 0, 64 * len(raw)
         while store[-1]:
             hi = bisect_right(degs, len(store), lo)
@@ -438,6 +453,8 @@ def _minimal(n: int, raw: list[tuple[int, ...]]) -> MonomialIdeal:
         else:
             return _trusted(n, tuple(compress(raw, found)), _codec=codec, _slice_store=store,
                             _stable=True, _pure_powers=powers)
+    elif not _increasing(raw):
+        raw = sorted(set(raw), key=raw_key)
     index = _Divisors(raw)
     # the candidates are distinct, so b_k is minimal iff it alone divides b_k
     alone = index.alone(raw)
@@ -586,9 +603,19 @@ def _stable_step(prev: list[int], gens: list[int], codec: _Codec):
 
 def _remove_sorted(exp: list[int], gens: list[int]) -> tuple[list[int], list[bool]]:
     """The increasing codes ``exp`` without those of the increasing ``gens``, and
-    for each of ``gens`` whether ``exp`` held it."""
+    for each of ``gens`` whether ``exp`` held it.
+
+    The generators of a degree are the greatest terms of its expansion in
+    every almost revlex ideal, so ``gens`` is most often the tail of ``exp``:
+    that is one list comparison, and it holds every generator at its own
+    place, as the merge would find.  Any other ``gens`` is merged in, one
+    ``bisect`` each.
+    """
     if not gens:
         return exp, []
+    k = len(exp) - len(gens)
+    if exp[k:] == gens:  # (a negative k gives a tail shorter than gens)
+        return exp[:k], [True] * len(gens)
     out: list[int] = []
     found: list[bool] = []
     lo = 0
@@ -606,13 +633,17 @@ def _remove_sorted(exp: list[int], gens: list[int]) -> tuple[list[int], list[boo
 def _moves_leave(gens: list[int], outside: list[int], codec: _Codec) -> bool:
     """True iff some move x_j*g/x_min(g), j < min(g), of a generator lies in ``outside``.
 
-    ``gens`` and ``outside`` are increasing codes of one degree.  The
+    ``gens`` (nonempty) and ``outside`` are increasing codes of one degree.
+    A move of g has code code(g) - R^(j-1) + R^(min(g)-1) > code(g) >=
+    gens[0], so when ``gens[0]`` lies above ``outside[-1]`` no move can land
+    and one comparison answers; the greedy construction, whose generators
+    are the top of each expansion, always takes that exit.  Otherwise the
     generators with smallest variable x_{k+1} lie between two floors, and
     each move adds one shift to all of them; a shifted group whose least
     code lies above ``outside`` misses it, and any other is looked up in a
     set of ``outside``.
     """
-    if not outside:
+    if not outside or gens[0] > outside[-1]:
         return False
     steps, floors, top = codec.steps, codec.floors, outside[-1]
     members = None

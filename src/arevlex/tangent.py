@@ -111,6 +111,9 @@ class ClassificationVerdict:
 
 
 def _require_artinian_stable(J: MonomialIdeal):
+    # (1) holds every x_v yet has no pure power in its basis: name it first
+    if J._raw and not any(J._raw[0]):
+        raise DomainError("ideal is the unit ideal: its staircase is empty")
     if not J.is_artinian:
         raise DomainError("ideal is not Artinian: some variable has no pure power")
     if not is_stable(J):

@@ -210,6 +210,21 @@ def brute_minimal_basis(terms: list[Term]) -> tuple[Term, ...]:
     ))
 
 
+def brute_moves_leave(gens: list[int], outside: list[int], codec) -> bool:
+    """True iff a move x_j*g/x_min(g), j < min(g), of a coded generator is a coded
+    term of ``outside``: both decoded, every move formed, looked up in a set."""
+    terms = set(codec.decode(outside))
+    for g in codec.decode(gens):
+        k = raw_min_var(g)
+        for j in range(1, k):
+            move = list(g)
+            move[j - 1] += 1
+            move[k - 1] -= 1
+            if tuple(move) in terms:
+                return True
+    return False
+
+
 def random_monomial_ideal(rng, n: int, max_exp: int = 3, max_gens: int = 5) -> MonomialIdeal:
     """The ideal of a few random terms in n variables with exponents <= max_exp."""
     gens = [Term(tuple(rng.randint(0, max_exp) for _ in range(n)))

@@ -398,6 +398,18 @@ def test_tangent_rejects_nonstable_file(tmp_path, capsys):
     assert code == 1 and "not stable" in err
 
 
+@pytest.mark.parametrize("gens", [[[0, 0]], [[1, 0], [0, 0], [0, 3]]])
+def test_tangent_names_the_unit_ideal(tmp_path, capsys, gens):
+    # (1) contains every x_v, so "some variable has no pure power" would be
+    # false; it is named as the unit ideal, with its empty staircase
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"vars": 2, "generators": gens}))
+    for extra in ([], ["--audit"], ["--format", "json"]):
+        code, out, err = run_cli(capsys, "tangent", "--ideal", str(path), *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: ideal is the unit ideal: its staircase is empty\n"
+
+
 def test_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "-d", "5,5,5")
     assert code == 0

@@ -39,7 +39,7 @@ from arevlex import (
     term,
 )
 from arevlex import terms as terms_module
-from arevlex.ideals import _Divisors, _slices
+from arevlex.ideals import _Codec, _Divisors, _expand_slice, _moves_leave, _remove_sorted, _slices
 from arevlex.terms import raw_divides, raw_key
 
 from helpers import (
@@ -50,6 +50,7 @@ from helpers import (
     brute_is_stable,
     brute_is_strongly_stable,
     brute_minimal_basis,
+    brute_moves_leave,
     brute_pommaret_candidates,
     brute_sous_escalier,
     curve_ideal,
@@ -340,6 +341,150 @@ def test_loader_proves_stable_artinian_lists_by_the_recursion(monkeypatch):
                 assert J._slice_store == F._slice_store, J
                 assert J._pure_powers == F._pure_powers, J
     assert seen == {"recursion", "budget", "stable", "non-stable", "Artinian", "non-Artinian"}
+
+
+def test_moves_leave_equals_brute_force():
+    # one comparison answers when the least generator lies above the slice,
+    # since a move's code exceeds its generator's; it must agree with every
+    # move decoded and looked up, on the generators and exact slices of
+    # stable and non-stable ideals, and on random same-degree code lists
+    # whose least generator does not lie above the slice
+    rng = random.Random(2901)
+    ideals = [almost_revlex_ci(len(d), d) for d in [(2,), (2, 2), (3, 4), (2, 2, 2), (2, 3, 4)]]
+    ideals += [random_strongly_stable(rng, n, rng.randint(1, 4)) for n in (2, 3, 4)
+               for _ in range(8)]
+    ideals += [random_artinian_ideal(rng, n) for n in (1, 2, 3) for _ in range(25)]
+    cases = []
+    for J in ideals:
+        codec, slices = J._codec, _slices(J)
+        codes = codec.encode(J._raw)
+        for t in range(1, len(slices)):
+            gens = [c for c, g in zip(codes, J._raw) if sum(g) == t]
+            if gens:
+                cases.append(("slice", gens, slices[t], codec))
+    for _ in range(400):
+        n, M = rng.randint(2, 4), rng.randint(1, 4)
+        t = rng.randint(1, n * M)
+        codec = _Codec(n, M)
+        terms = [m.exponents for m in enumerate_terms(n, t) if max(m.exponents) <= M]
+        if len(terms) < 2:
+            continue
+        codes = sorted(codec.encode(rng.sample(terms, rng.randint(2, len(terms)))))
+        cut = set(rng.sample(range(len(codes)), rng.randint(1, len(codes) - 1)))
+        gens = [c for i, c in enumerate(codes) if i in cut]
+        outside = [c for i, c in enumerate(codes) if i not in cut]
+        cases.append(("random", gens, outside, codec))
+    seen = set()
+    for kind, gens, outside, codec in cases:
+        expected = brute_moves_leave(gens, outside, codec)
+        assert _moves_leave(gens, outside, codec) == expected, (kind, gens, outside)
+        above = bool(outside) and gens[0] > outside[-1]
+        inside = bool(outside) and outside[0] < gens[0] <= outside[-1]
+        seen.add((kind, "above" if above else "inside" if inside else "other", expected))
+    assert {("slice", "above", False), ("slice", "inside", True), ("slice", "inside", False),
+            ("random", "inside", True), ("random", "inside", False),
+            ("random", "other", True), ("random", "other", False)} <= seen
+    # no generator is above its slice's top with a landing move
+    assert not any(where == "above" and hit for _, where, hit in seen)
+
+
+def test_remove_sorted_equals_filter():
+    # a generator block that is the expansion's exact tail is cut off by one
+    # list comparison; any other block is merged in.  Both must give the
+    # codes left over and, per generator, whether the expansion held it
+    rng = random.Random(2902)
+    kinds = ("tail", "tail with one code changed", "interleaved", "absent", "empty", "all")
+    cases = [(kind, sorted(2 * x for x in rng.sample(range(100), rng.randint(0, 25))))
+             for kind in kinds for _ in range(80)]
+    for J in [almost_revlex_ci(3, (2, 3, 4)), random_artinian_ideal(rng, 3)]:
+        codec, slices = J._codec, _slices(J)
+        codes = codec.encode(J._raw)
+        for t in range(1, len(slices)):
+            cases.append(("expansion", _expand_slice(slices[t - 1], codec),
+                          [c for c, g in zip(codes, J._raw) if sum(g) == t]))
+    seen = set()
+    for case in cases:
+        if case[0] == "expansion":
+            kind, exp, gens = case
+        else:
+            # exp holds even codes only, so an odd code is absent from it
+            kind, exp = case
+            k = rng.randint(0, len(exp))
+            if kind == "tail":
+                gens = exp[k:]
+            elif kind == "tail with one code changed":
+                gens = exp[min(k, len(exp) - 2):]
+                if len(gens) >= 2:
+                    i = rng.randrange(len(gens) - 1)  # any code but the last
+                    gens[i] -= 1
+            elif kind == "interleaved":
+                gens = sorted(set(rng.sample(exp, k)) | {2 * x + 1 for x in range(0, 100, 7)})
+            elif kind == "absent":
+                gens = sorted(rng.sample(range(1, 200, 2), rng.randint(1, 10)))
+            else:
+                gens = list(exp) if kind == "all" else []
+        before = list(exp), list(gens)
+        out, found = _remove_sorted(exp, gens)
+        assert out == [c for c in exp if c not in set(gens)], (kind, exp, gens)
+        assert found == [c in set(exp) for c in gens], (kind, exp, gens)
+        assert (exp, gens) == before
+        seen.add((kind, all(found), exp[len(exp) - len(gens):] == gens))
+    assert {("tail", True, True), ("tail with one code changed", False, False),
+            ("interleaved", False, False), ("absent", False, False), ("empty", True, True),
+            ("all", True, True), ("expansion", True, True)} <= seen
+
+
+def test_loader_routes_by_pure_powers_and_order():
+    # a list with a pure power of every variable and no constant term is
+    # encoded once and its order checked on integer keys; it is sorted only
+    # when that check fails.  Every list, in order or not, with duplicates or
+    # multiples past the largest smallest pure power, gives the brute-force
+    # basis; on that route the codec's bound is the largest pure power and
+    # the slices are those of the checked ideal.  A list with the constant
+    # term, or missing a pure power, builds no codec at load
+    rng = random.Random(2903)
+    ideals = [almost_revlex_ci(len(d), d) for d in [(3,), (6,), (2, 2), (3, 5), (2, 2, 3)]]
+    ideals += [random_strongly_stable(rng, n, rng.randint(1, 4)) for n in (1, 2, 3)
+               for _ in range(6)]
+    ideals += [random_artinian_ideal(rng, n) for n in (1, 2, 3) for _ in range(12)]
+    kinds = ("sorted", "shuffled", "duplicated", "past the bound", "constant", "no pure power")
+    seen = set()
+    for J0 in ideals:
+        n, base = J0.n, [g.exponents for g in J0.min_gens]
+        M = max(J0._pure_powers.values())
+        for kind in kinds:
+            pool = list(base)
+            if kind == "duplicated":
+                pool += rng.choices(pool, k=rng.randint(1, 4))
+            elif kind == "past the bound":
+                for _ in range(rng.randint(1, 3)):
+                    e = list(rng.choice(pool))
+                    e[rng.randrange(n)] = M + rng.randint(1, 3)
+                    pool.append(tuple(e))
+            elif kind == "constant":
+                pool.append((0,) * n)
+            elif kind == "no pure power":
+                v = rng.randrange(n)
+                pool = [g for g in pool if g[v] == 0 or g.count(0) < n - 1]
+            if kind != "sorted":
+                rng.shuffle(pool)
+            terms = [Term(e) for e in pool]
+            J = ideal_from_json({"vars": n, "generators": [list(e) for e in pool]})
+            expected = brute_minimal_basis(terms)
+            assert J.min_gens == expected, (kind, pool)
+            if kind in ("constant", "no pure power"):
+                assert "_codec" not in J.__dict__, (kind, pool)
+                continue
+            F = MonomialIdeal(n, expected)
+            seeded = "_codec" in J.__dict__
+            assert seeded == is_stable(F), (kind, pool)
+            assert J._codec.M == M == max(F._pure_powers.values()), (kind, pool)
+            assert _slices(J) == _slices(F), (kind, pool)
+            seen.add((kind, seeded, n == 1, pool == sorted(set(pool), key=raw_key)))
+    for kind in kinds[:4]:
+        assert {(kind, True, False), (kind, False, False), (kind, True, True)} <= {
+            s[:3] for s in seen}, kind
+    assert {s[3] for s in seen} == {True, False}
 
 
 def test_ideal_needs_a_variable():
