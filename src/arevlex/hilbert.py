@@ -271,26 +271,26 @@ def pardue_truncation(H: HilbertFunction, s: int) -> HilbertFunction:
 def hf_of_ideal(J: MonomialIdeal, up_to: int) -> HilbertFunction:
     """Table of |N(J)_t| with the eventual behavior inferred when possible.
 
-    Artinian ideals get an eventual-zero tag (table through the first empty
-    slice), nonzero strongly stable ideals of Krull dimension one an
-    eventual-constant tag (through the regularity); ``up_to`` sizes only
-    the bare table of any other ideal.  Past the top generator degree of a
-    stable one, the table counts J_t from B_J (P(J) = B_J, so g spans the
-    degree-t terms g*delta with delta in x_{m(g)}..x_n, m(g) = min(g)):
+    Artinian ideals and the unit ideal get an eventual-zero tag (table
+    through the first empty slice), nonzero strongly stable ideals of Krull
+    dimension one an eventual-constant tag (through the regularity);
+    ``up_to`` sizes only the bare table of any other ideal.  Past the top
+    generator degree of a stable one, the table counts J_t from B_J (P(J) =
+    B_J, so g spans the degree-t terms g*delta with delta in x_{m(g)}..x_n,
+    m(g) = min(g)):
     H(t) = C(t+n-1, n-1) - sum_g C(t - deg g + n - m(g), n - m(g)).
     """
     if up_to < 0:
         raise DomainError("up_to must be nonnegative")
-    if J.is_artinian:
+    # (1) has no pure power in B_J, yet its staircase is empty from degree 0
+    if J.is_artinian or J._raw[:1] == ((0,) * J.n,):
         counts = [len(s) for s in _slices(J)]
         return HilbertFunction(tuple(counts), Eventual("zero"))
-    # Krull dimension one needs n-1 pure powers; count them before the
-    # stability check, which builds the slices through the top degree
+    # Krull dimension one needs n-1 pure powers
     if not J.is_zero and len(J._pure_powers) == J.n - 1 and is_strongly_stable(J):
         counts = [len(s) for s in _slices(J, J.max_gen_degree())]
         return HilbertFunction(tuple(counts), Eventual("constant", counts[-1]))
     n, top = J.n, sum(J._raw[-1]) if J._raw else 0
-    # the stability verdict builds the slices through top, so ask it only past top
     if up_to <= top or not J._stable:
         return HilbertFunction(tuple(len(s) for s in _slices(J, up_to)), None)
     # 1 spans every term, as if m(1) = 1

@@ -8,32 +8,35 @@ basis as :class:`Term` objects, is built on first read (by the text form,
 from the basis (sous-escalier slices, first expansions, reduction numbers,
 colength, ...) is computed combinatorially and exactly.
 
-Membership has two routes, each the only one for its inputs:
+Membership has one route: ``_Divisors``, a bitmask index built once from
+the whole exponent list of B_J, answers "which generators divide e?"
+exactly without assuming stability.  Per variable, a bisect into the
+sorted distinct exponents picks a mask of the generators whose exponent is
+at most e's, and the AND of the n masks holds the divisors of e.  It also
+checks minimality: b_k is minimal iff bit k alone is set for b_k, in any
+order, and one batched pass (``_Divisors.alone``, a lazy ``map`` chain per
+variable) reads that off for every term of ``_minimal`` and the checked
+constructor.  :func:`minimalize` and the file loader, which checks its
+generator list in bulk, both end in ``_minimal``: a list with a pure power
+of every variable is proved by the staircase recursion below, and only a
+list that fails it, or has no such powers, takes the index.  The greedy
+construction proves its basis by the same recursion (see
+:mod:`arevlex.construct`), so neither recursion's ideal builds the index
+until something asks for divisibility: :func:`contains`, the staircase of
+a non-stable ideal, or a stability predicate.
 
-* ``_Divisors``, a bitmask index built once from the whole exponent list of
-  B_J, answers "which generators divide e?" exactly without assuming
-  stability: per variable, a bisect into the sorted distinct exponents
-  picks a mask of the generators whose exponent is at most e's, and the AND
-  of the n masks holds the divisors of e.  It also checks minimality: b_k
-  is minimal iff bit k alone is set for b_k, in any order, and one batched
-  pass (``_Divisors.alone``, a lazy ``map`` chain per variable) reads that
-  off for every term of ``_minimal`` and the checked constructor.
-  :func:`minimalize` and the file loader, which checks its generator list
-  in bulk, both end in ``_minimal``: a list with a pure power of every
-  variable is proved by the staircase recursion below, and only a list
-  that fails it, or has no such powers, takes the index, whose ideal keeps
-  it.  The greedy construction proves its basis by the same recursion
-  (see :mod:`arevlex.construct`), so neither recursion's ideal builds the
-  index until something asks for divisibility.  The index serves
-  :func:`contains`, the staircase of a non-stable ideal and the
-  quasi-stability predicate.
-* ``MonomialIdeal._heads`` walks down from each of a run of terms by its
-  smallest variable until it meets B_J, one lookup per variable
-  (``_prefixes``); for a stable J this finds the head alpha of the unique
-  decomposition tau = alpha*delta (P(J) = B_J), or shows tau is outside J.
-  The one walk serves the strong stability predicate (the adjacent moves
-  x_{i-1}*g/x_i of each generator), the tangent kernel's blocks, and
-  ``_pommaret_raw``, its one-term form, for the marked reduction.
+The predicates are their definitions (Eliahou-Kervaire): J is stable iff
+it holds every move x_j*g/x_min(g), j < min(g), of each g in B_J; strongly
+stable iff it also holds every adjacent move x_{i-1}*g/x_i; quasi-stable
+iff it holds each move with its x_j exponent raised to the top generator
+degree.  Generators suffice: a move of m = g*h moves g when min(m) =
+min(g), and J holds that move times h; else it moves h, and g divides it.
+So a predicate is one lookup per move and builds no staircase.
+``MonomialIdeal._heads`` only decomposes: for a stable J it walks down from
+each of a run of terms by its smallest variable until it meets B_J, one
+lookup per variable (``_prefixes``), to the head alpha of the unique
+decomposition tau = alpha*delta (P(J) = B_J).  It serves the tangent
+kernel's blocks and ``_pommaret_raw``, its one-term form.
 
 The staircase N(J) of every monomial ideal comes from one recursion,
 N(J)_t = E(N(J)_{t-1}) \\ J (``_slices``): N(J) is an order ideal, so a
@@ -49,28 +52,27 @@ M = its largest pure-power exponent (reg, for a stable J), which bounds
 every degree; any other J takes M = its top generator degree (at least 1),
 and a request past M recodes the cached slices under a larger M.
 
-The same recursion decides stability (B_J is a Pommaret basis iff J is
-stable).  While I = (B_J in degrees < t) is stable, E(N(J)_{t-1}) is every
-degree-t term outside I; those in J are I's or a degree-t generator, so
-the degree-t generators, each outside I, are exactly the expanded terms in
-J, and a ``bisect`` per generator removes them (one not found is an
-invariant failure).  I + (degree-t generators) stays stable iff no move
-x_j*g/x_min(g) of those generators, code(g) - R^(j-1) + R^(min(g)-1),
-lies in the exact slice N(J)_t.  Degrevlex order decides the common case
-of both tests exactly: when the generators are the top of the expansion,
-as in every almost revlex ideal, one list comparison removes them
-(``_remove_sorted``); and a move's code exceeds its generator's, so when
-the least generator lies above the top of N(J)_t one comparison shows no
-move lands (``_moves_leave``).  The first failing move shows J is not
-stable, and later slices decode their terms and ask ``_Divisors``;
-reaching the top generator degree shows J is stable.  Two callers run
-this step to prove a basis and hand the ideal its slices, codec and
-stable verdict, so its N(J) is expanded once: the construction, which
-keeps a prescribed number of the smallest codes per degree instead of
-filtering by J, and ``_minimal``, which takes the candidates an
-expansion holds as generators and drops the others as multiples of
-lower ones.  The recursion stops at the first empty slice.  The
-Hilbert function counts the coded slices; :func:`sous_escalier`,
+A non-stable J decodes each expanded slice and asks ``_Divisors``.  A
+stable one needs no lookup (B_J is a Pommaret basis iff J is stable).
+While I = (B_J in degrees < t) is stable, E(N(J)_{t-1}) is every degree-t
+term outside I; those in J are I's or a degree-t generator, so the
+degree-t generators, each outside I, are exactly the expanded terms in J,
+and a ``bisect`` per generator removes them.  I + (degree-t generators)
+stays stable iff no move x_j*g/x_min(g) of those generators, code(g) -
+R^(j-1) + R^(min(g)-1), lies in the exact slice N(J)_t.  Degrevlex order
+decides the common case of both tests exactly: when the generators are
+the top of the expansion, as in every almost revlex ideal, one list
+comparison removes them (``_remove_sorted``); and a move's code exceeds
+its generator's, so when the least generator lies above the top of N(J)_t
+one comparison shows no move lands (``_moves_leave``).  For an ideal known
+to be stable, a generator not found or a move that lands is an invariant
+failure.  Two builders run this step instead to prove a basis and hand
+the ideal its slices, codec and stable verdict, so its N(J) is expanded
+once: the construction, which keeps a prescribed number of the smallest
+codes per degree instead of filtering by J, and ``_minimal``, which takes
+the candidates an expansion holds as generators and drops the others as
+multiples of lower ones.  The recursion stops at the first empty slice.
+The Hilbert function counts the coded slices; :func:`sous_escalier`,
 :func:`first_expansion` and ``_columns`` decode them.
 
 The pure powers of B_J are read once into ``_pure_powers``, {j: e} for
@@ -276,25 +278,40 @@ class MonomialIdeal:
 
     # -- derived flags, cached per instance --------------------------------
 
+    def _holds_moves(self, lift: int | None = None, adjacent: bool = False) -> bool:
+        """True iff ``_Divisors`` finds in J every move x_j*g/x_i of each g in B_J.
+
+        The moves have i = min(g) and j < i, or, if ``adjacent``, x_i | g with
+        1 < i < min(g) and j = i - 1 (the move at i = min(g) is of the first
+        kind).  ``lift`` sets the x_j exponent of each move instead of raising it.
+        """
+        divides = self._divisors.divides
+        for g in self._raw:
+            k = raw_min_var(g) - 1 if any(g) else 0  # (1) has no moves
+            for i, j in ([(i, i - 1) for i in range(1, k) if g[i]] if adjacent
+                         else [(k, j) for j in range(k)]):
+                e = [*g]
+                e[i], e[j] = e[i] - 1, e[j] + 1 if lift is None else lift
+                if not divides(tuple(e)):
+                    return False
+        return True
+
     @cached_property
     def _quasi_stable(self) -> bool:
-        # x_j^s * g / min(g) in J for some s>0  <=>  some generator divides
-        # it once the x_j exponent is allowed to grow without bound; no
-        # generator's x_j exponent exceeds the top generator degree.
-        top = sum(self._raw[-1]) if self._raw else 0
-        for g in self._raw:
-            k = raw_min_var(g) if sum(g) else 0
-            if not k:
-                continue
-            sigma = list(g)
-            sigma[k - 1] -= 1
-            for j in range(1, k):
-                free = sigma[j - 1]
-                sigma[j - 1] = top
-                if not self._divisors.divides(tuple(sigma)):
-                    return False
-                sigma[j - 1] = free
-        return True
+        # x_j^s * g / min(g) lies in J for some s > 0 iff it does once the
+        # x_j exponent reaches the top generator degree, past every generator's
+        return self._holds_moves(lift=sum(self._raw[-1]) if self._raw else 0)
+
+    @cached_property
+    def _stable(self) -> bool:
+        return self._holds_moves()
+
+    @cached_property
+    def _strongly_stable(self) -> bool:
+        # chains of adjacent moves reach every x_j*m/x_i, and a move of a
+        # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide;
+        # strongly stable implies stable, so a failed stable check decides
+        return self._stable and self._holds_moves(adjacent=True)
 
     @cached_property
     def _columns(self) -> list[list[int]]:
@@ -323,6 +340,8 @@ class MonomialIdeal:
         down to 1, for k from the last variable down, then 1; B_J holds at most
         one such term per k (``_prefixes``), so it takes one lookup per k.  A
         term outside J gives None.  One generator walks all terms, no call each.
+        It decomposes the blocks of the tangent kernel and, one term at a time,
+        ``_pommaret_raw``; membership is ``_Divisors``'.
         """
         find = self._prefixes.get
         zeros = (0,) * self.n
@@ -343,28 +362,6 @@ class MonomialIdeal:
     def _slice_store(self) -> list[list[int]]:
         # the coded slices N(J)_0, N(J)_1, ... computed so far (see _slices)
         return [[] if self._raw and not any(self._raw[0]) else [self._codec.top]]
-
-    @cached_property
-    def _stable(self) -> bool:
-        if not self._raw or not any(self._raw[0]):  # the zero or the unit ideal
-            return True
-        # the staircase recursion decides stability degree by degree (see
-        # _slices); the last generator degree settles it either way
-        _slices(self, self.max_gen_degree())
-        return self.__dict__["_stable"]
-
-    @cached_property
-    def _strongly_stable(self) -> bool:
-        # strongly stable implies stable, so a failed stable check decides;
-        # for stable ideals the head walk answers membership exactly
-        if not self._stable:
-            return False
-        # chains of adjacent moves reach every x_j*m/x_i, and a move of a
-        # multiple g*h moves g or h: so the moves x_{i-1}*g/x_i of B_J decide;
-        # stability already puts the move at the smallest variable of g in J
-        moves = (g[: i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:] for g in self._raw
-                 for i in range(1, raw_min_var(g) - 1 if any(g) else 0) if g[i])
-        return None not in self._heads(moves)
 
     @cached_property
     def _pure_powers(self) -> dict[int, int]:
@@ -533,14 +530,16 @@ def _slices(J: MonomialIdeal, upto: int | None = None) -> list[list[int]]:
     ``upto=None`` reads an Artinian J to its end: no term of N(J) reaches
     the degree sum of the pure powers.
 
-    Iterates N(J)_t = E(N(J)_{t-1}) minus J and decides stability on the way
-    (see the module docstring): the verdict lands in ``J._stable`` at the
-    first failing move or at the top generator degree.  The list ends early
-    at the first empty slice, as N(J) is an order ideal and every later
-    slice is empty too.  The codes are those of ``J._codec``; the computed
-    prefix (``J._slice_store``) is only extended; a non-Artinian J asked
-    past the codec's bound recodes it under a larger one.  Agreement with
-    the definitions is pinned by tests.
+    Iterates N(J)_t = E(N(J)_{t-1}) minus J (see the module docstring).  It
+    reads the stability verdict once, to choose a branch: a non-stable J
+    asks ``_Divisors`` for every expanded term, and a stable one removes its
+    generators of each degree by ``_stable_step``, where a generator not
+    found or a move that lands contradicts the verdict and raises
+    AssertionError.  The list ends early at the first empty slice, as N(J)
+    is an order ideal and every later slice is empty too.  The codes are
+    those of ``J._codec``; the computed prefix (``J._slice_store``) is only
+    extended; a non-Artinian J asked past the codec's bound recodes it under
+    a larger one.  Agreement with the definitions is pinned by tests.
     """
     if upto is None:
         upto = sum(J._pure_powers.values())
@@ -553,24 +552,19 @@ def _slices(J: MonomialIdeal, upto: int | None = None) -> list[list[int]]:
     codec = J._codec
     raw = J._raw
     hi = bisect_left(raw, len(store), key=sum)
+    stable = J._stable
     while len(store) <= upto and store[-1]:
-        stable = J.__dict__.get("_stable")  # None while undecided
-        if stable is False:
+        if not stable:
             exp = _expand_slice(store[-1], codec)
             below = J._divisors.below
             store.append([c for c, e in zip(exp, codec.decode(exp)) if not below(e)])
             continue
         lo, hi = hi, bisect_right(raw, len(store), hi, key=sum)  # B_J in this degree
         sl, found, moved = _stable_step(store[-1], codec.encode(raw[lo:hi]), codec)
-        if not all(found):
-            raise AssertionError("a generator of a stable-so-far ideal is missing "
-                                 "from the first expansion")
+        if moved or not all(found):
+            raise AssertionError("the staircase of a stable ideal misses a generator "
+                                 "or holds a move")
         store.append(sl)
-        if stable is None:
-            if moved:
-                J.__dict__["_stable"] = False
-            elif hi == len(raw):
-                J.__dict__["_stable"] = True
     return store[: upto + 1]
 
 
@@ -580,7 +574,7 @@ def _bound(J: MonomialIdeal) -> int:
     An Artinian J takes its largest pure power: no term of N(J) or B_J has a
     larger exponent of x_v than x_v's pure power, in any degree.  Otherwise
     a degree-t term has no exponent above t, and M covers the top generator
-    degree, which the stability verdict reaches; ``_slices`` recodes past it.
+    degree; ``_slices`` recodes past it.
     """
     if J.is_artinian:
         return max(J._pure_powers.values())
@@ -692,9 +686,9 @@ def is_almost_revlex(J: MonomialIdeal) -> bool:
     """True iff every same-degree term above a minimal generator lies in J.
 
     Almost revlex ideals are strongly stable, so anything failing the
-    stability test, which stops at the first failing degree, is rejected
-    outright; for stable J the check reduces to comparing each generator
-    with the top of its sous-escalier slice.
+    stability test, one lookup per move, is rejected outright; for stable J
+    the check reduces to comparing each generator with the top of its
+    sous-escalier slice.
     """
     if J.is_zero:
         return True

@@ -211,6 +211,22 @@ def test_hilbert_ideal_without_upto(tmp_path, capsys, nvars, gens, table):
         assert code == 0 and out == table + "\n"
 
 
+@pytest.mark.parametrize("nvars, gens", [(2, [[0, 0]]), (3, [[0, 0, 0], [1, 0, 0]])])
+def test_hilbert_of_the_unit_ideal_is_zero(tmp_path, capsys, nvars, gens):
+    # (1) has an empty staircase, so its table is 0 tagged eventually zero,
+    # with or without --upto, though no pure power lies in its basis
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"vars": nvars, "generators": gens}))
+    zero = {"kind": "zero", "value": 0}
+    for upto, values in (([], [0]), (["--upto", "6"], [0] * 7)):
+        code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), *upto)
+        assert (code, out, err) == (0, ",".join(map(str, values)) + "\n", "")
+        code, out, err = run_cli(capsys, "hilbert", "--ideal", str(path), *upto,
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"values": values, "eventual": zero}
+
+
 def test_hilbert_bad_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -598,7 +614,7 @@ def test_instance_dict_is_written_in_three_places():
     # the cache protocol: a derived fact of an ideal is a declared cached
     # property; only the trusted builder seeds caches, the checked constructor
     # stores its basis (the Terms it was given) and index, and the staircase
-    # recursion stores the stability verdict it finds and a recoded codec;
+    # recursion stores a recoded codec and no stability verdict;
     # the Term view of the basis writes the dict of each Term it makes
     import ast
     from functools import cached_property
@@ -633,7 +649,7 @@ def test_instance_dict_is_written_in_three_places():
         "ideals._trusted": {"n", "_raw", "**"},
         "ideals.MonomialIdeal.__init__": {"n", "min_gens", "_raw", "_divisors"},
         "ideals.MonomialIdeal.min_gens": {"exponents"},
-        "ideals._slices": {"_stable", "_codec"},
+        "ideals._slices": {"_codec"},
     }
     # what a builder seeds is a declared cache of the ideal
     cached = {name for name, value in vars(MonomialIdeal).items()
@@ -716,6 +732,39 @@ def test_construction_move_check_is_an_invariant_failure(capsys, monkeypatch):
     assert proc.returncode == 2
     assert "internal invariant failure" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_contradicted_stable_verdict_fails_under_optimize_flag():
+    # the staircase's check of a stable verdict is an explicit raise, so it
+    # still fires when python -O strips assert statements
+    script = ("import sys; from arevlex.ideals import _slices, _trusted\n"
+              "J = _trusted(2, ((2, 0), (0, 2)), _stable=True)\n"
+              "try:\n    _slices(J, 3)\nexcept AssertionError:\n    sys.exit(3)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("gens", [
+    [[10**9, 0], [0, 1]],
+    [[1000, 0, 0], [0, 1000, 0], [0, 0, 1000]],
+])
+def test_tangent_refuses_a_non_stable_ideal_without_its_staircase(tmp_path, gens):
+    # the stability verdict reads the moves of B_J, so an ideal whose N(J)
+    # through the top generator degree is huge is refused at once; the
+    # address-space limit and the timeout only stop a run that builds N(J)
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": len(gens[0]), "generators": gens}))
+    proc = subprocess.run([sys.executable, "-m", "arevlex", "tangent", "--ideal", str(path)],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV,
+                          preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: ideal is not stable: quasi-stable=True, stable=False\n"
 
 
 @pytest.mark.parametrize("degrees", ["3,4,4", "2,2,2,2"])

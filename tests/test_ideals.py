@@ -39,7 +39,15 @@ from arevlex import (
     term,
 )
 from arevlex import terms as terms_module
-from arevlex.ideals import _Codec, _Divisors, _expand_slice, _moves_leave, _remove_sorted, _slices
+from arevlex.ideals import (
+    _Codec,
+    _Divisors,
+    _expand_slice,
+    _moves_leave,
+    _remove_sorted,
+    _slices,
+    _trusted,
+)
 from arevlex.terms import raw_divides, raw_key
 
 from helpers import (
@@ -723,6 +731,30 @@ def test_stability_read_off_the_slices_in_either_order():
         decode = sliced_first._codec.decode
         assert [decode(sl) for sl in slices] == brute, J
     assert unstable > 1000
+
+
+@pytest.mark.parametrize("predicate", [is_stable, is_quasi_stable, is_strongly_stable])
+def test_stability_predicates_build_no_staircase(predicate):
+    # each predicate is one lookup per move of B_J; none builds N(J), which
+    # through the top generator degree holds 10^7 to 10^8 terms here
+    gens = [[(1, 0, 0, 0), (0, 400, 0, 0)], [(0, 60, 0, 0, 0), (0, 0, 61, 0, 0)],
+            [(1000, 0, 0), (0, 1000, 0), (0, 0, 1000)]]
+    verdicts = []
+    for raw in gens:
+        J = minimalize([Term(e) for e in raw])
+        verdicts.append(predicate(J))
+        assert len(J._slice_store) == 1, J
+    want = {is_stable: [True, False, False], is_quasi_stable: [True, False, True],
+            is_strongly_stable: [True, False, False]}
+    assert verdicts == want[predicate]
+
+
+def test_staircase_that_contradicts_a_stable_verdict_is_an_invariant_failure():
+    # (x1^2, x2^2) is not stable: the move x1*x2 of x2^2 lies in N(J)_2; a
+    # stable verdict seeded against it makes the recursion raise
+    J = _trusted(2, ((2, 0), (0, 2)), _stable=True)
+    with pytest.raises(AssertionError):
+        _slices(J, 3)
 
 
 def test_almost_revlex_examples():
